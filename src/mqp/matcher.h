@@ -13,13 +13,18 @@ namespace xymon::mqp {
 /// ordered set S of atomic events detected on a document, report every
 /// registered complex event C_i with C_i ⊆ S (paper §4.1).
 ///
-/// Three implementations:
+/// Implementations in this library (xymon_mqp):
 ///   * AesMatcher      — the paper's "Atomic Event Sets" hash-tree (§4.2).
 ///   * BruteForceMatcher — per-complex-event subset test (correctness oracle
 ///     and worst baseline).
+/// Comparison baselines live in the separate xymon_mqp_baselines target
+/// (src/mqp/CMakeLists.txt), linked only by mqp_test, bench_baselines and
+/// bench_ablation:
 ///   * CountingMatcher — classic pub/sub counting algorithm over an inverted
 ///     index (the strongest conventional alternative; §4.1 says candidate
 ///     algorithms were considered and rejected).
+///   * MapAesMatcher   — the same AES tree built from std::unordered_map
+///     tables with per-node heap allocation (Ablation B).
 class Matcher {
  public:
   virtual ~Matcher() = default;

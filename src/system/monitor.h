@@ -38,8 +38,8 @@ namespace xymon::system {
 class XylemeMonitor : private DeliverySink {
  public:
   struct Options {
-    /// Document-flow partitions (paper §4.2). 1 = the historical inline
-    /// monitor, bit-for-bit; N > 1 runs N shard worker threads.
+    /// Document-flow partitions (paper §4.2). 1 = one shard run on the
+    /// caller thread; N > 1 runs N shard worker threads.
     size_t num_shards = 1;
     /// ProcessCrawl batch size: how many due documents are fetched and
     /// pushed through the pipeline per batch. 0 = one batch per round

@@ -413,11 +413,30 @@ void ProcessDocJob(PipelineShard& shard, const DocJob& job,
   merge(&shard.notify_counts, notify_delta);
 }
 
-void IngestPipeline::ProcessOne(PipelineShard& shard, const DocJob& job,
-                                uint64_t docid_hint, Timestamp now,
-                                DocOutcome* out) const {
-  ProcessDocJob(shard, job, docid_hint, now, options_.containment, resolver_,
-                out);
+void IngestPipeline::RunLocal(PipelineShard& shard, ShardWorkItem& item,
+                              bool stopping) const {
+  if (item.kind == ShardWorkItem::Kind::kCheckpoint) {
+    // Dispatch order makes this a batch boundary: every document scattered
+    // before the marker has already been processed. Only this shard's later
+    // documents wait for the checkpoint; other shards keep going.
+    item.ticket->Complete(stopping ? Status::Unavailable("shard restarting")
+                                   : shard.warehouse.CheckpointStorage());
+    return;
+  }
+  BatchState& bs = *item.batch;
+  bool skip = stopping;
+  if (!skip) {
+    std::lock_guard<std::mutex> lock(bs.mutex);
+    skip = bs.abandoned;
+  }
+  DocOutcome out;
+  if (!skip) {
+    ProcessDocJob(shard, bs.jobs[item.slot], item.docid_hint, item.now,
+                  options_.containment, resolver_, &out);
+  }
+  // An abandoned batch's owner is long gone; publishing only releases the
+  // slot (the BatchState lives as long as any queued item references it).
+  bs.Publish(item.slot, std::move(out));
 }
 
 void IngestPipeline::WorkerLoop(PipelineShard* shard) {
@@ -435,301 +454,100 @@ void IngestPipeline::WorkerLoop(PipelineShard* shard) {
     }
     // The swap emptied the queue: wake any scatter blocked on backpressure.
     shard->cv.notify_all();
-    for (ShardWorkItem& item : batch) {
-      if (item.kind == ShardWorkItem::Kind::kCheckpoint) {
-        // Queue order makes this a batch boundary: every document scattered
-        // before the marker has already been processed. Only this shard's
-        // later documents wait for the checkpoint; other shards keep going.
-        item.ticket->Complete(
-            stopping ? Status::Unavailable("shard restarting")
-                     : shard->warehouse.CheckpointStorage());
-        continue;
-      }
-      BatchState& bs = *item.batch;
-      bool skip = stopping;
-      if (!skip) {
-        std::lock_guard<std::mutex> lock(bs.mutex);
-        skip = bs.abandoned;
-      }
-      DocOutcome out;
-      if (!skip) {
-        ProcessOne(*shard, bs.jobs[item.slot], item.docid_hint, item.now,
-                   &out);
-      }
-      bool batch_done;
-      {
-        std::lock_guard<std::mutex> lock(bs.mutex);
-        if (!bs.abandoned) {
-          bs.outcomes[item.slot] = std::move(out);
-          bs.done[item.slot] = 1;
-        }
-        batch_done = --bs.remaining == 0;
-      }
-      // An abandoned batch's owner is long gone; the notify is harmless
-      // (the BatchState lives as long as any queued item references it).
-      if (batch_done) bs.cv.notify_all();
-    }
+    for (ShardWorkItem& item : batch) RunLocal(*shard, item, stopping);
   }
 }
 
-void IngestPipeline::ProcessBatch(const std::vector<DocJob>& jobs,
-                                  Timestamp now, DeliverySink* sink,
-                                  std::vector<DocOutcome>* outcomes_out) {
-  if (!proxies_.empty()) {
-    auto state = std::make_shared<BatchState>();
-    state->jobs = jobs;
-    ProcessBatchProcess(std::move(state), now, sink, outcomes_out);
-    return;
+bool IngestPipeline::IsQuarantined(size_t index) const {
+  std::lock_guard<std::mutex> lock(shards_[index]->mutex);
+  return shards_[index]->health == ShardHealth::kQuarantined;
+}
+
+void IngestPipeline::MarkStuck(size_t index) {
+  PipelineShard& shard = *shards_[index];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  if (shard.health != ShardHealth::kQuarantined) {
+    shard.health = ShardHealth::kQuarantined;
+    ++shard.deadline_failures;
   }
+}
+
+Status IngestPipeline::Dispatch(size_t index, ShardWorkItem item,
+                                steady::time_point deadline) {
+  const bool document = item.kind == ShardWorkItem::Kind::kDocument;
+  // Worker process: the item crosses the wire. A marker rides the same
+  // socket as the slots, so it lands exactly at a batch boundary.
+  if (process_mode()) {
+    ShardWorkerProxy& proxy = *proxies_[index];
+    return document ? proxy.SendSlot(item.batch, batch_seq_, item.slot,
+                                     item.docid_hint, item.now)
+                    : proxy.SendCheckpoint(std::move(item.ticket));
+  }
+  PipelineShard& shard = *shards_[index];
+  // One local shard: run it now, on the caller thread — no hop.
   if (shards_.size() == 1) {
-    ProcessBatchInline(jobs, now, sink, outcomes_out);
-    return;
+    RunLocal(shard, item, /*stopping=*/false);
+    return Status::OK();
   }
-  auto state = std::make_shared<BatchState>();
-  state->jobs = jobs;
-  ProcessBatchSharded(std::move(state), now, sink, outcomes_out);
+  // Worker threads: enqueue on the shard's queue.
+  {
+    std::unique_lock<std::mutex> lock(shard.mutex);
+    const size_t limit = options_.queue_high_water_limit;
+    if (document && limit > 0 && shard.queue.size() >= limit) {
+      // Backpressure: block until the worker drains. With a deadline the
+      // wait is bounded; a timeout is a watchdog verdict on the shard.
+      ++shard.backpressure_waits;
+      auto space = [&shard, limit] { return shard.queue.size() < limit; };
+      if (!shard.cv.wait_until(lock, deadline, space)) {
+        return Status::DeadlineExceeded(
+            "batch deadline blown waiting for queue space on shard " +
+            std::to_string(index));
+      }
+    }
+    shard.queue.push_back(std::move(item));
+    if (document) {
+      shard.queue_high_water =
+          std::max<uint64_t>(shard.queue_high_water, shard.queue.size());
+    }
+  }
+  shard.cv.notify_one();
+  return Status::OK();
 }
 
 void IngestPipeline::ProcessBatch(std::vector<DocJob>&& jobs, Timestamp now,
                                   DeliverySink* sink,
                                   std::vector<DocOutcome>* outcomes_out) {
-  if (!proxies_.empty()) {
-    auto state = std::make_shared<BatchState>();
-    state->jobs = std::move(jobs);
-    ProcessBatchProcess(std::move(state), now, sink, outcomes_out);
-    return;
-  }
-  if (shards_.size() == 1) {
-    ProcessBatchInline(jobs, now, sink, outcomes_out);
-    return;
-  }
   auto state = std::make_shared<BatchState>();
   state->jobs = std::move(jobs);
-  ProcessBatchSharded(std::move(state), now, sink, outcomes_out);
-}
-
-void IngestPipeline::ProcessBatchInline(const std::vector<DocJob>& jobs,
-                                        Timestamp now, DeliverySink* sink,
-                                        std::vector<DocOutcome>* outcomes_out) {
-  // Inline path: process and deliver per document, on the caller thread —
-  // exactly the monolithic monitor's interleaving (a notification-raised
-  // trigger for document i fires before document i+1 is ingested).
-  ++batches_;
-  documents_ += jobs.size();
-  PipelineShard& shard = *shards_[0];
-  std::vector<DocOutcome> outcomes(jobs.size());
-
-  // Poison verdicts are fixed at batch start (the scatter path decides them
-  // before any document of the batch is processed — mirror that here so the
-  // decision is identical for every shard count).
-  std::vector<uint8_t> poisoned(jobs.size(), 0);
-  if (options_.containment && !poisoned_.empty()) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      poisoned[i] = poisoned_.count(jobs[i].url) != 0;
-    }
-  }
-
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    uint64_t hint = AssignDocid(jobs[i]);
-    if (poisoned[i]) {
-      ++poison_rejections_;
-      outcomes[i].failed = true;
-      outcomes[i].failed_stage = "poisoned";
-      outcomes[i].status = Status::ResourceExhausted(
-          jobs[i].url + " quarantined after repeated stage failures");
-    } else {
-      ProcessOne(shard, jobs[i], hint, now, &outcomes[i]);
-    }
-    if (sink != nullptr) sink->Deliver(jobs[i], outcomes[i]);
-  }
-  UpdateBatchAccounting(jobs, outcomes);
-  if (outcomes_out != nullptr) *outcomes_out = std::move(outcomes);
-}
-
-void IngestPipeline::ProcessBatchSharded(std::shared_ptr<BatchState> state,
-                                         Timestamp now, DeliverySink* sink,
-                                         std::vector<DocOutcome>* outcomes_out) {
   const size_t n = state->jobs.size();
   ++batches_;
+  ++batch_seq_;
   documents_ += n;
   state->outcomes.resize(n);
   state->done.assign(n, 0);
   state->remaining = n;
 
-  const bool deadline_set =
-      options_.containment && options_.batch_deadline_ms > 0;
+  // No deadline configured = one that never comes.
   const steady::time_point deadline =
-      steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms);
-
-  // A slot that never reaches a worker still decrements `remaining` (the
-  // barrier counts every slot exactly once: here or on the worker).
-  auto fail_slot = [&state](size_t i, const char* stage, Status st) {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->outcomes[i].failed = true;
-    state->outcomes[i].failed_stage = stage;
-    state->outcomes[i].status = std::move(st);
-    state->done[i] = 1;
-    --state->remaining;
-  };
+      options_.containment && options_.batch_deadline_ms > 0
+          ? steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms)
+          : steady::time_point::max();
 
   // Scatter: pre-assign DOCIDs in submission order (what a 1-shard pipeline
   // would allocate sequentially), then hand each job to the shard owning its
-  // URL — unless the URL is poisoned or the shard is down.
-  for (size_t i = 0; i < n; ++i) {
-    const DocJob& job = state->jobs[i];
-    uint64_t hint = AssignDocid(job);
-    if (options_.containment && poisoned_.count(job.url) != 0) {
-      ++poison_rejections_;
-      fail_slot(i, "poisoned",
-                Status::ResourceExhausted(
-                    job.url + " quarantined after repeated stage failures"));
-      continue;
-    }
-    PipelineShard& shard = *shards_[ShardFor(job.url)];
-    enum class ScatterFail { kNone, kShardDown, kBackpressureTimeout };
-    ScatterFail fail = ScatterFail::kNone;
-    {
-      std::unique_lock<std::mutex> lock(shard.mutex);
-      if (options_.containment &&
-          shard.health == ShardHealth::kQuarantined) {
-        fail = ScatterFail::kShardDown;
-      } else if (options_.queue_high_water_limit > 0 &&
-                 shard.queue.size() >= options_.queue_high_water_limit) {
-        // Backpressure: block until the worker drains. With a deadline the
-        // wait is bounded; a timeout is a watchdog verdict on the shard.
-        ++shard.backpressure_waits;
-        auto space = [&shard, this] {
-          return shard.queue.size() < options_.queue_high_water_limit;
-        };
-        bool got_space = true;
-        if (deadline_set) {
-          got_space = shard.cv.wait_until(lock, deadline, space);
-        } else {
-          shard.cv.wait(lock, space);
-        }
-        if (!got_space) {
-          shard.health = ShardHealth::kQuarantined;
-          ++shard.deadline_failures;
-          fail = ScatterFail::kBackpressureTimeout;
-        }
-      }
-      if (fail == ScatterFail::kNone) {
-        ShardWorkItem item;
-        item.batch = state;
-        item.slot = i;
-        item.docid_hint = hint;
-        item.now = now;
-        shard.queue.push_back(std::move(item));
-        shard.queue_high_water =
-            std::max<uint64_t>(shard.queue_high_water, shard.queue.size());
-      }
-    }
-    switch (fail) {
-      case ScatterFail::kNone:
-        shard.cv.notify_one();
-        break;
-      case ScatterFail::kShardDown:
-        fail_slot(i, "shard",
-                  Status::Unavailable("shard " +
-                                      std::to_string(ShardFor(job.url)) +
-                                      " quarantined"));
-        break;
-      case ScatterFail::kBackpressureTimeout:
-        ++deadline_exceeded_;
-        fail_slot(i, "deadline",
-                  Status::DeadlineExceeded(
-                      "batch deadline blown waiting for queue space on shard " +
-                      std::to_string(ShardFor(job.url))));
-        break;
-    }
-  }
-
-  // Barrier: wait until every slot is accounted for — or, with a deadline,
-  // until the watchdog gives up. Abandoning the batch under state->mutex
-  // makes late workers discard their results instead of writing into a
-  // vector the gather is about to move out of.
-  std::vector<DocOutcome> outcomes;
-  std::set<size_t> stuck_shards;
-  {
-    std::unique_lock<std::mutex> lock(state->mutex);
-    auto drained = [&state] { return state->remaining == 0; };
-    bool completed = true;
-    if (deadline_set) {
-      completed = state->cv.wait_until(lock, deadline, drained);
-    } else {
-      state->cv.wait(lock, drained);
-    }
-    if (!completed) {
-      state->abandoned = true;
-      for (size_t i = 0; i < n; ++i) {
-        if (state->done[i]) continue;
-        state->outcomes[i].failed = true;
-        state->outcomes[i].failed_stage = "deadline";
-        state->outcomes[i].status =
-            Status::DeadlineExceeded("batch deadline exceeded (" +
-                                     std::to_string(options_.batch_deadline_ms) +
-                                     "ms)");
-        ++deadline_exceeded_;
-        stuck_shards.insert(ShardFor(state->jobs[i].url));
-      }
-    }
-    outcomes = std::move(state->outcomes);
-  }
-  for (size_t idx : stuck_shards) {
-    PipelineShard& shard = *shards_[idx];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.health != ShardHealth::kQuarantined) {
-      shard.health = ShardHealth::kQuarantined;
-      ++shard.deadline_failures;
-    }
-  }
-
-  // Ordered gather: deliver in submission-slot order, independent of which
-  // shard finished first.
-  if (sink != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      sink->Deliver(state->jobs[i], outcomes[i]);
-    }
-  }
-  UpdateBatchAccounting(state->jobs, outcomes);
-  if (outcomes_out != nullptr) *outcomes_out = std::move(outcomes);
-}
-
-void IngestPipeline::ProcessBatchProcess(std::shared_ptr<BatchState> state,
-                                         Timestamp now, DeliverySink* sink,
-                                         std::vector<DocOutcome>* outcomes_out) {
-  // The thread-mode contract on a different substrate: slots cross the wire
-  // to the worker process owning the URL, results come back on the proxies'
-  // reader threads and are published into the BatchState exactly like
-  // WorkerLoop publishes — the barrier and the ordered gather below are
-  // unchanged. A worker that dies mid-batch fails only its outstanding
-  // slots (the proxy's death path decrements `remaining` for them), so the
-  // barrier always releases.
-  const size_t n = state->jobs.size();
-  ++batches_;
-  documents_ += n;
-  state->outcomes.resize(n);
-  state->done.assign(n, 0);
-  state->remaining = n;
-  const uint64_t batch_seq = ++batch_seq_;
-
-  const bool deadline_set =
-      options_.containment && options_.batch_deadline_ms > 0;
-  const steady::time_point deadline =
-      steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms);
-
+  // URL — unless the URL is poisoned or the shard is down. A slot that never
+  // reaches a shard is published failed here, so the barrier counts every
+  // slot exactly once.
   auto fail_slot = [&state](size_t i, const char* stage, Status st) {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->outcomes[i].failed = true;
-    state->outcomes[i].failed_stage = stage;
-    state->outcomes[i].status = std::move(st);
-    state->done[i] = 1;
-    --state->remaining;
+    DocOutcome out;
+    out.failed = true;
+    out.failed_stage = stage;
+    out.status = std::move(st);
+    state->Publish(i, std::move(out));
   };
-
   for (size_t i = 0; i < n; ++i) {
     const DocJob& job = state->jobs[i];
-    uint64_t hint = AssignDocid(job);
+    const uint64_t hint = AssignDocid(job);
     if (options_.containment && poisoned_.count(job.url) != 0) {
       ++poison_rejections_;
       fail_slot(i, "poisoned",
@@ -738,31 +556,24 @@ void IngestPipeline::ProcessBatchProcess(std::shared_ptr<BatchState> state,
       continue;
     }
     const size_t idx = ShardFor(job.url);
-    bool down;
-    {
-      std::lock_guard<std::mutex> lock(shards_[idx]->mutex);
-      down = shards_[idx]->health == ShardHealth::kQuarantined;
-    }
-    if (down) {
+    if (IsQuarantined(idx)) {
       fail_slot(i, "shard",
                 Status::Unavailable("shard " + std::to_string(idx) +
                                     " quarantined"));
       continue;
     }
-    Status st = proxies_[idx]->SendSlot(state, batch_seq, i, hint, now);
+    ShardWorkItem item;
+    item.batch = state;
+    item.slot = i;
+    item.docid_hint = hint;
+    item.now = now;
+    Status st = Dispatch(idx, std::move(item), deadline);
     if (st.ok()) continue;
     if (st.code() == StatusCode::kDeadlineExceeded) {
-      // The write into a full socket buffer timed out: the worker stopped
-      // reading — a wedge. Watchdog verdict against the shard; the
-      // heartbeat timeout turns the wedge into a SIGKILL and the monitor
-      // restarts it.
-      {
-        std::lock_guard<std::mutex> lock(shards_[idx]->mutex);
-        if (shards_[idx]->health != ShardHealth::kQuarantined) {
-          shards_[idx]->health = ShardHealth::kQuarantined;
-          ++shards_[idx]->deadline_failures;
-        }
-      }
+      // No queue space before the deadline, or the write into a full socket
+      // buffer timed out (the worker stopped reading — a wedge; the
+      // heartbeat timeout turns it into a SIGKILL and a restart).
+      MarkStuck(idx);
       ++deadline_exceeded_;
       fail_slot(i, "deadline", std::move(st));
     } else {
@@ -771,21 +582,18 @@ void IngestPipeline::ProcessBatchProcess(std::shared_ptr<BatchState> state,
     }
   }
 
-  // Barrier — identical to the thread path. Without a batch deadline the
-  // wait is still bounded: a wedged worker trips the heartbeat timeout,
-  // gets SIGKILLed, and the proxy's death path fails its slots.
+  // Barrier: wait until every slot is accounted for — or, with a deadline,
+  // until the watchdog gives up. Abandoning the batch under state->mutex
+  // makes late shards discard their results instead of writing into a
+  // vector the gather is about to move out of. Without a deadline a worker
+  // process cannot hang it either: a wedged worker trips the heartbeat
+  // timeout, gets SIGKILLed, and the proxy's death path fails its slots.
   std::vector<DocOutcome> outcomes;
   std::set<size_t> stuck_shards;
   {
     std::unique_lock<std::mutex> lock(state->mutex);
     auto drained = [&state] { return state->remaining == 0; };
-    bool completed = true;
-    if (deadline_set) {
-      completed = state->cv.wait_until(lock, deadline, drained);
-    } else {
-      state->cv.wait(lock, drained);
-    }
-    if (!completed) {
+    if (!state->cv.wait_until(lock, deadline, drained)) {
       state->abandoned = true;
       for (size_t i = 0; i < n; ++i) {
         if (state->done[i]) continue;
@@ -801,15 +609,10 @@ void IngestPipeline::ProcessBatchProcess(std::shared_ptr<BatchState> state,
     }
     outcomes = std::move(state->outcomes);
   }
-  for (size_t idx : stuck_shards) {
-    PipelineShard& shard = *shards_[idx];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.health != ShardHealth::kQuarantined) {
-      shard.health = ShardHealth::kQuarantined;
-      ++shard.deadline_failures;
-    }
-  }
+  for (size_t idx : stuck_shards) MarkStuck(idx);
 
+  // Ordered gather: deliver in submission-slot order, independent of which
+  // shard finished first.
   if (sink != nullptr) {
     for (size_t i = 0; i < n; ++i) {
       sink->Deliver(state->jobs[i], outcomes[i]);
@@ -866,6 +669,21 @@ void IngestPipeline::UpdateBatchAccounting(
   }
 }
 
+void IngestPipeline::HarvestPartition(const warehouse::Warehouse& recovered) {
+  // The central URL → DOCID map (ids are centrally assigned at every shard
+  // count) and the shared DTD registry, rebuilt from what the partition
+  // persisted.
+  recovered.ForEachMeta([this](const warehouse::DocMeta& meta) {
+    docids_[meta.url] = meta.docid;
+    next_docid_ = std::max(next_docid_, meta.docid + 1);
+  });
+  if (shards_.size() > 1) {
+    for (const auto& [dtd_url, id] : recovered.dtd_ids()) {
+      dtd_registry_.Seed(dtd_url, id);
+    }
+  }
+}
+
 Status IngestPipeline::AttachStorageHub(storage::StorageHub* hub) {
   if (hub->partition_count() != shards_.size()) {
     return Status::InvalidArgument(
@@ -873,123 +691,68 @@ Status IngestPipeline::AttachStorageHub(storage::StorageHub* hub) {
         " shards but the storage hub opened " +
         std::to_string(hub->partition_count()) + " partitions");
   }
-  if (!proxies_.empty()) {
-    if (hub->log_options().env != nullptr) {
-      return Status::InvalidArgument(
-          "process mode needs partitions on the real filesystem (a custom "
-          "Env cannot cross a process boundary)");
-    }
-    hub_ = hub;
-    // Harvest the recovered partitions before handing the files over: the
-    // central URL → DOCID map, the shared DTD registry, and each worker's
-    // starting document count (cached supervisor-side, refreshed by every
-    // SlotResult).
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      warehouse::Warehouse scratch(options_.classifier);
-      XYMON_RETURN_IF_ERROR(scratch.AttachStore(hub->partition(i)));
-      scratch.ForEachMeta([this](const warehouse::DocMeta& meta) {
-        docids_[meta.url] = meta.docid;
-        next_docid_ = std::max(next_docid_, meta.docid + 1);
-      });
-      if (shards_.size() > 1) {
-        for (const auto& [dtd_url, id] : scratch.dtd_ids()) {
-          dtd_registry_.Seed(dtd_url, id);
-        }
-      }
-      proxies_[i]->set_document_count(scratch.document_count());
-    }
-    // The workers own the partition files from here on; each opens its own
-    // exclusively and recovers from it (now, and again on every respawn).
-    hub->ReleasePartitions();
-    Status first_error;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      const bool was_alive = proxies_[i]->alive();
-      Status st = proxies_[i]->SendOpenPartition(
-          hub->partition_file_path(i), hub->log_options().fsync_every_n,
-          hub->auto_checkpoint_bytes());
-      // A dead worker still records the command for its respawn; its error
-      // is not ours to fail on (the shard is quarantined and heals through
-      // the restart path).
-      if (!st.ok() && was_alive && first_error.ok()) first_error = st;
-    }
-    return first_error;
+  if (process_mode() && hub->log_options().env != nullptr) {
+    return Status::InvalidArgument(
+        "process mode needs partitions on the real filesystem (a custom "
+        "Env cannot cross a process boundary)");
   }
   hub_ = hub;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    XYMON_RETURN_IF_ERROR(
-        shards_[i]->warehouse.AttachStore(hub->partition(i)));
-  }
-  // Recovery: rebuild the central URL → DOCID map (every shard count — ids
-  // are always centrally assigned) and re-seed the shared DTD registry from
-  // what each partition persisted.
-  for (auto& shard : shards_) {
-    shard->warehouse.ForEachMeta([this](const warehouse::DocMeta& meta) {
-      docids_[meta.url] = meta.docid;
-      next_docid_ = std::max(next_docid_, meta.docid + 1);
-    });
-    if (shards_.size() > 1) {
-      for (const auto& [dtd_url, id] : shard->warehouse.dtd_ids()) {
-        dtd_registry_.Seed(dtd_url, id);
-      }
+    // In process mode the workers own the partitions: recover each through
+    // a throwaway warehouse only to harvest it, and cache the worker's
+    // starting document count (refreshed by every SlotResult).
+    std::optional<warehouse::Warehouse> scratch;
+    warehouse::Warehouse& recovered =
+        process_mode() ? scratch.emplace(options_.classifier)
+                       : shards_[i]->warehouse;
+    XYMON_RETURN_IF_ERROR(recovered.AttachStore(hub->partition(i)));
+    HarvestPartition(recovered);
+    if (process_mode()) {
+      proxies_[i]->set_document_count(recovered.document_count());
     }
   }
-  return Status::OK();
+  if (!process_mode()) return Status::OK();
+
+  // The workers own the partition files from here on; each opens its own
+  // exclusively and recovers from it (now, and again on every respawn).
+  hub->ReleasePartitions();
+  Status first_error;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const bool was_alive = proxies_[i]->alive();
+    Status st = proxies_[i]->SendOpenPartition(
+        hub->partition_file_path(i), hub->log_options().fsync_every_n,
+        hub->auto_checkpoint_bytes());
+    // A dead worker still records the command for its respawn; its error
+    // is not ours to fail on (the shard is quarantined and heals through
+    // the restart path).
+    if (!st.ok() && was_alive && first_error.ok()) first_error = st;
+  }
+  return first_error;
 }
 
 std::shared_ptr<CheckpointTicket> IngestPipeline::CheckpointWarehousesAsync() {
   auto ticket = std::make_shared<CheckpointTicket>();
   ticket->remaining_ = shards_.size();
-  if (!proxies_.empty()) {
-    // Each worker checkpoints its own partition file. The marker rides the
-    // same socket as the slots, so it lands exactly at a batch boundary —
-    // the same ordering the queue gives the thread path.
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      bool quarantined;
-      {
-        std::lock_guard<std::mutex> lock(shards_[i]->mutex);
-        quarantined = shards_[i]->health == ShardHealth::kQuarantined;
-      }
-      if (quarantined) {
-        ticket->Complete(Status::Unavailable(
-            "shard quarantined; partition checkpoint skipped"));
-        continue;
-      }
-      Status st = proxies_[i]->SendCheckpoint(ticket);
-      if (!st.ok()) ticket->Complete(st);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    // A wedged or dead shard would never drain the marker. Its partition is
+    // exactly what the upcoming restart rebuilds from — skip it.
+    if (IsQuarantined(i)) {
+      ticket->Complete(
+          Status::Unavailable("shard quarantined; partition checkpoint skipped"));
+      continue;
     }
-    return ticket;
-  }
-  if (shards_.size() == 1) {
-    // Inline pipeline: no worker thread to hand the marker to.
-    ticket->Complete(shards_[0]->warehouse.CheckpointStorage());
-    return ticket;
-  }
-  for (auto& shard : shards_) {
-    bool queued = false;
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      if (shard->health == ShardHealth::kQuarantined) {
-        // A wedged shard would never drain the marker. Its partition is
-        // exactly what the upcoming restart rebuilds from — skip it.
-        ticket->Complete(Status::Unavailable(
-            "shard quarantined; partition checkpoint skipped"));
-      } else {
-        ShardWorkItem item;
-        item.kind = ShardWorkItem::Kind::kCheckpoint;
-        item.ticket = ticket;
-        shard->queue.push_back(std::move(item));
-        queued = true;
-      }
-    }
-    if (queued) shard->cv.notify_one();
+    ShardWorkItem marker;
+    marker.kind = ShardWorkItem::Kind::kCheckpoint;
+    marker.ticket = ticket;
+    Status st = Dispatch(i, std::move(marker), steady::time_point::max());
+    if (!st.ok()) ticket->Complete(st);
   }
   return ticket;
 }
 
 bool IngestPipeline::has_unhealthy_shards() const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    if (shard->health == ShardHealth::kQuarantined) return true;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (IsQuarantined(i)) return true;
   }
   return false;
 }
@@ -1009,7 +772,7 @@ Status IngestPipeline::RestartShard(size_t index) {
   // checkpoint markers complete with Unavailable, leftover documents belong
   // to abandoned batches and are skipped) and exits. A stage wedged forever
   // blocks here — injected stalls are finite; a truly hung thread needs the
-  // multi-process split ROADMAP.md plans (a thread cannot be killed).
+  // worker-process mode (a thread cannot be killed).
   if (old.worker.joinable()) old.worker.join();
 
   auto fresh = MakeShard();
@@ -1030,75 +793,54 @@ Status IngestPipeline::RestartShard(size_t index) {
   shards_[index] = std::move(fresh);
   PipelineShard& shard = *shards_[index];
 
-  // Process mode: kill-and-restart containment. SIGKILL whatever is left of
-  // the worker, fork/exec a fresh one with the stored hello, point it at its
-  // partition file (it recovers from disk itself — the supervisor never
-  // reopens a released partition), and replay the logged subscription/rule
-  // commands to rebuild its detection structures.
-  if (!proxies_.empty()) {
-    proxies_[index]->set_counter_shard(&shard);
-    Status st = proxies_[index]->Respawn(replay_log_);
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.health = ShardHealth::kQuarantined;
-      return st;
+  Status st = [&]() -> Status {
+    if (process_mode()) {
+      // Kill-and-restart containment: SIGKILL whatever is left of the
+      // worker, fork/exec a fresh one with the stored hello, point it at
+      // its partition file (it recovers from disk itself — the supervisor
+      // never reopens a released partition), and replay the logged
+      // subscription/rule commands to rebuild its detection structures.
+      proxies_[index]->set_counter_shard(&shard);
+      XYMON_RETURN_IF_ERROR(proxies_[index]->Respawn(replay_log_));
+    } else if (hub_ != nullptr) {
+      // Rebuild from durable state: reopen the partition from disk and
+      // recover the warehouse from it. Without a hub the shard restarts
+      // empty — its documents re-ingest as new on their next fetch.
+      XYMON_RETURN_IF_ERROR(hub_->ReopenPartition(index));
+      XYMON_RETURN_IF_ERROR(
+          shard.warehouse.AttachStore(hub_->partition(index)));
+      HarvestPartition(shard.warehouse);
     }
-  }
 
-  // Rebuild from durable state: reopen the partition from disk and recover
-  // the warehouse from it. The central DOCID map is already a superset of
-  // the partition's contents (the store is write-through), so only the DTD
-  // registry needs re-seeding. Without a hub the shard restarts empty — its
-  // documents re-ingest as new on their next fetch.
-  if (proxies_.empty() && hub_ != nullptr) {
-    XYMON_RETURN_IF_ERROR(hub_->ReopenPartition(index));
-    XYMON_RETURN_IF_ERROR(shard.warehouse.AttachStore(hub_->partition(index)));
-    if (shards_.size() > 1) {
-      for (const auto& [dtd_url, id] : shard.warehouse.dtd_ids()) {
-        dtd_registry_.Seed(dtd_url, id);
-      }
+    // A rebuilt shard gets a clean poison slate for the URLs it owns.
+    for (auto it = fail_counts_.begin(); it != fail_counts_.end();) {
+      it = ShardFor(it->first) == index ? fail_counts_.erase(it)
+                                        : std::next(it);
     }
-  }
-
-  // A rebuilt shard gets a clean poison slate for the URLs it owns.
-  for (auto it = fail_counts_.begin(); it != fail_counts_.end();) {
-    it = ShardFor(it->first) == index ? fail_counts_.erase(it) : std::next(it);
-  }
-  for (auto it = poisoned_.begin(); it != poisoned_.end();) {
-    it = ShardFor(*it) == index ? poisoned_.erase(it) : std::next(it);
-  }
-
-  if (shards_.size() > 1 && proxies_.empty()) {
-    shard.worker = std::thread(&IngestPipeline::WorkerLoop, this, &shard);
-  }
-  // Re-register subscriptions on the fresh detection replica. Failing here
-  // leaves the shard quarantined (the caller sees the error and the scatter
-  // keeps routing around it).
-  if (restart_hook_) {
-    Status st = restart_hook_(index);
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.health = ShardHealth::kQuarantined;
-      return st;
+    for (auto it = poisoned_.begin(); it != poisoned_.end();) {
+      it = ShardFor(*it) == index ? poisoned_.erase(it) : std::next(it);
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.health = ShardHealth::kHealthy;
-  }
-  return Status::OK();
+
+    if (shards_.size() > 1 && !process_mode()) {
+      shard.worker = std::thread(&IngestPipeline::WorkerLoop, this, &shard);
+    }
+    // Re-register subscriptions on the fresh detection replica.
+    return restart_hook_ ? restart_hook_(index) : Status::OK();
+  }();
+
+  // Every failed restart ends quarantined: the scatter routes around the
+  // shard, checkpoints skip it, and has_unhealthy_shards() lets the owner
+  // retry.
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  shard.health = st.ok() ? ShardHealth::kHealthy : ShardHealth::kQuarantined;
+  return st;
 }
 
 Status IngestPipeline::RestartUnhealthyShards(size_t* restarted) {
   Status first_error;
   size_t count = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    bool quarantined;
-    {
-      std::lock_guard<std::mutex> lock(shards_[i]->mutex);
-      quarantined = shards_[i]->health == ShardHealth::kQuarantined;
-    }
-    if (!quarantined) continue;
+    if (!IsQuarantined(i)) continue;
     Status st = RestartShard(i);
     if (st.ok()) {
       ++count;
@@ -1142,7 +884,7 @@ Status IngestPipeline::BroadcastCommand(uint64_t seq, std::string payload) {
 Status IngestPipeline::ReplicateSubscribe(const std::string& text,
                                           const std::string& email,
                                           Timestamp now) {
-  if (proxies_.empty()) return Status::OK();
+  if (!process_mode()) return Status::OK();
   ipc::SubscribeMsg msg;
   msg.seq = replay_seq_++;
   msg.now = now;
@@ -1156,7 +898,7 @@ Status IngestPipeline::ReplicateSubscribe(const std::string& text,
 
 Status IngestPipeline::ReplicateUnsubscribe(const std::string& name,
                                             Timestamp now) {
-  if (proxies_.empty()) return Status::OK();
+  if (!process_mode()) return Status::OK();
   ipc::UnsubscribeMsg msg;
   msg.seq = replay_seq_++;
   msg.now = now;
@@ -1168,7 +910,7 @@ Status IngestPipeline::ReplicateDomainRule(const std::string& domain,
                                            const std::string& doctype_name,
                                            const std::string& root_tag,
                                            const std::string& url_substring) {
-  if (proxies_.empty()) return Status::OK();
+  if (!process_mode()) return Status::OK();
   ipc::DomainRuleMsg msg;
   msg.seq = replay_seq_++;
   msg.domain = domain;
@@ -1230,7 +972,7 @@ PipelineStats IngestPipeline::stats() const {
 }
 
 uint64_t IngestPipeline::total_document_count() const {
-  if (!proxies_.empty()) {
+  if (process_mode()) {
     // The supervisor-side warehouses are empty in process mode; the workers
     // report their sizes on every SlotResult/Pong/CheckpointDone.
     uint64_t total = 0;

@@ -31,11 +31,10 @@ class ShardWorkerProxy;
 /// Worker topology of the document flow (DESIGN.md §14). The scatter/
 /// barrier/ordered-gather contract — and therefore delivered output — is
 /// identical across modes; only the execution substrate changes.
-///   kInline  — every shard processed on the caller thread. Only meaningful
-///              with shards == 1 (the historical monitor); with more shards
-///              it falls back to kThread.
-///   kThread  — one worker thread per shard when shards > 1, inline at 1.
-///              The default, and the pre-§14 behaviour.
+///   kInline  — an alias of kThread, kept for existing callers.
+///   kThread  — one worker thread per shard when shards > 1; a single shard
+///              runs on the caller thread. The default, and the pre-§14
+///              behaviour.
 ///   kProcess — one supervised worker *process* per shard (any count), each
 ///              owning its storage partition, spoken to over the framed
 ///              wire protocol with heartbeats and kill-and-restart
@@ -61,9 +60,10 @@ enum class ShardMode { kInline, kThread, kProcess };
 //
 // Delivery stays deterministic regardless of shard count: stages 1–4a run on
 // the shard owning the document, but the resulting DeliveryActions are
-// replayed by the caller in submission order (ordered gather). A one-shard
-// pipeline runs everything inline on the caller thread — bit-for-bit the
-// pre-pipeline monitor.
+// replayed by the caller in submission order (ordered gather). Every
+// substrate — one shard on the caller thread, N worker threads, N worker
+// processes — runs the same scatter/barrier/ordered-gather path; only the
+// hand-off of one item to its shard differs (IngestPipeline::Dispatch).
 //
 // The pipeline is self-healing (DESIGN.md §13): with containment on, a
 // stage that throws fails only its document's DocOutcome, a URL that keeps
@@ -216,8 +216,8 @@ struct PipelineStats {
   size_t shards = 0;
   uint64_t batches = 0;
   uint64_t documents = 0;
-  /// Deepest shard work queue observed (multi-shard only; the inline
-  /// single-shard path has no queue).
+  /// Deepest shard work queue observed (worker-thread shards only; a
+  /// single shard and worker processes have no local queue).
   uint64_t queue_high_water = 0;
   // -- Self-healing counters (all zero with containment off) ----------------
   uint64_t failed_documents = 0;    // DocOutcome::failed delivered
@@ -293,6 +293,22 @@ class CheckpointTicket {
 /// its shared_ptr and discards its result on publication — nothing dangles
 /// even though ProcessBatch already returned.
 struct BatchState {
+  /// Accounts for `slot` exactly once: records its outcome unless the
+  /// watchdog abandoned the batch, and releases the barrier on the last
+  /// slot. Called from whichever thread finished the slot.
+  void Publish(size_t slot, DocOutcome outcome) {
+    bool batch_done;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!abandoned) {
+        outcomes[slot] = std::move(outcome);
+        done[slot] = 1;
+      }
+      batch_done = --remaining == 0;
+    }
+    if (batch_done) cv.notify_all();
+  }
+
   std::mutex mutex;
   std::condition_variable cv;
   std::vector<DocJob> jobs;          // immutable once scattered
@@ -340,10 +356,10 @@ struct PipelineShard {
   std::unique_ptr<DetectStage> detect_stage;
   std::unique_ptr<MatchStage> match_stage;
 
-  // Worker machinery (idle in a one-shard pipeline). `mutex` guards the
-  // queue, flags, health and counters. The batch barrier waits on the
-  // BatchState, not on queue emptiness, so a checkpoint marker draining
-  // slowly on one shard never blocks the other shards' batches.
+  // Worker machinery (idle in a one-shard pipeline and in process mode).
+  // `mutex` guards the queue, flags, health and counters. The batch barrier
+  // waits on the BatchState, not on queue emptiness, so a checkpoint marker
+  // draining slowly on one shard never blocks the other shards' batches.
   std::thread worker;
   mutable std::mutex mutex;
   std::condition_variable cv;
@@ -373,8 +389,8 @@ struct PipelineShard {
 /// semantics of DESIGN.md §13 (a throwing stage fails the DocOutcome, not
 /// the process) and the per-stage timing merged into the shard's counters.
 /// Free-standing so a shard worker *process* (src/ipc/worker_main.cc) runs
-/// the identical code path over its own PipelineShard — IngestPipeline's
-/// ProcessOne delegates here.
+/// the identical code path over its own PipelineShard that the pipeline's
+/// local shards run.
 void ProcessDocJob(PipelineShard& shard, const DocJob& job,
                    uint64_t docid_hint, Timestamp now, bool containment,
                    const NotifyResolver* resolver, DocOutcome* out);
@@ -388,7 +404,8 @@ void ProcessDocJob(PipelineShard& shard, const DocJob& job,
 class IngestPipeline {
  public:
   struct Options {
-    /// Number of document-flow partitions. 1 = inline, no threads.
+    /// Number of document-flow partitions. 1 = the shard runs on the caller
+    /// thread (no worker threads) outside process mode.
     size_t shards = 1;
     /// Trie vs hash `URL extends` structure, per shard.
     bool use_trie_prefixes = false;
@@ -404,10 +421,11 @@ class IngestPipeline {
     /// run. Off restores the seed's die-on-throw behaviour (the bench
     /// baseline for the containment-overhead comparison).
     bool containment = true;
-    /// Batch deadline in milliseconds (0 = none; multi-shard only — the
-    /// inline path has no worker to outwait). A batch whose barrier has not
-    /// released by then is failed by the watchdog: unprocessed slots get
-    /// DeadlineExceeded outcomes and the stuck shards are quarantined.
+    /// Batch deadline in milliseconds (0 = none). A batch whose barrier has
+    /// not released by then is failed by the watchdog: unprocessed slots get
+    /// DeadlineExceeded outcomes and the stuck shards are quarantined. A
+    /// single local shard runs on the caller thread, so its barrier is
+    /// already released when the wait starts and the deadline never fires.
     uint32_t batch_deadline_ms = 0;
     /// Consecutive contained stage failures a URL may cause before it is
     /// quarantined by the poison tracker (0 = never). A successful pass
@@ -468,8 +486,8 @@ class IngestPipeline {
   PipelineShard& shard(size_t i) { return *shards_[i]; }
   const PipelineShard& shard(size_t i) const { return *shards_[i]; }
 
-  /// Which shard owns `url` (stable FNV-1a hash — same partitioning as
-  /// ParallelMqpPool).
+  /// Which shard owns `url` (stable FNV-1a hash, so every version of a page
+  /// meets the same partition).
   size_t ShardFor(std::string_view url) const;
 
   /// The warehouse partition owning `url`.
@@ -484,15 +502,13 @@ class IngestPipeline {
   const warehouse::DocumentSource* document_source() const;
 
   /// Runs one batch through stages 1–4: scatter by hash(url), process on
-  /// the owning shards, gather + deliver to `sink` in submission order.
-  /// Blocks until every outcome is delivered (or, with a batch deadline
-  /// configured, until the watchdog fails the stragglers). `outcomes_out`,
+  /// the owning shards, gather + deliver to `sink` in submission order once
+  /// every slot is accounted for. Blocks until every outcome is delivered
+  /// (or, with a batch deadline configured, until the watchdog fails the
+  /// stragglers). The scatter fails a slot whose URL is poisoned
+  /// (containment on) or whose shard is quarantined (always). `outcomes_out`,
   /// if non-null, receives the per-slot outcomes (delivery may have
-  /// consumed payload strings; `status` and the flags are intact). The
-  /// rvalue overload avoids copying the jobs into the batch state.
-  void ProcessBatch(const std::vector<DocJob>& jobs, Timestamp now,
-                    DeliverySink* sink,
-                    std::vector<DocOutcome>* outcomes_out = nullptr);
+  /// consumed payload strings; `status` and the flags are intact).
   void ProcessBatch(std::vector<DocJob>&& jobs, Timestamp now,
                     DeliverySink* sink,
                     std::vector<DocOutcome>* outcomes_out = nullptr);
@@ -505,11 +521,11 @@ class IngestPipeline {
   /// hub pointer for RestartShard's rebuild-from-storage.
   Status AttachStorageHub(storage::StorageHub* hub);
 
-  /// Starts a parallel, non-quiescing checkpoint: a marker is queued on
-  /// every shard and each partition checkpoints on its own worker thread at
-  /// a batch boundary. Returns immediately; Wait() on the ticket for
-  /// completion. Inline (1-shard) pipelines checkpoint on the caller
-  /// thread and return an already-completed ticket. A quarantined shard's
+  /// Starts a parallel, non-quiescing checkpoint: a marker is dispatched to
+  /// every shard like a document slot, so each partition checkpoints on its
+  /// own worker at a batch boundary. Returns immediately; Wait() on the
+  /// ticket for completion. A single local shard checkpoints on the caller
+  /// thread and returns an already-completed ticket. A quarantined shard's
   /// marker completes immediately with Unavailable (its partition is what
   /// the upcoming restart rebuilds from).
   std::shared_ptr<CheckpointTicket> CheckpointWarehousesAsync();
@@ -530,7 +546,8 @@ class IngestPipeline {
   /// owner re-registers subscriptions. Caller must hold the same
   /// serialization as ProcessBatch (no batch may be in flight). Without an
   /// attached hub the shard restarts empty — its documents re-ingest as
-  /// new on their next fetch.
+  /// new on their next fetch. A restart that fails at any step (respawn,
+  /// storage reopen, restart hook) leaves the shard quarantined.
   Status RestartShard(size_t index);
 
   /// RestartShard for every quarantined shard; first error wins (remaining
@@ -585,19 +602,27 @@ class IngestPipeline {
 
   std::unique_ptr<PipelineShard> MakeShard();
   void WorkerLoop(PipelineShard* shard);
-  void ProcessOne(PipelineShard& shard, const DocJob& job, uint64_t docid_hint,
-                  Timestamp now, DocOutcome* out) const;
-  void ProcessBatchInline(const std::vector<DocJob>& jobs, Timestamp now,
-                          DeliverySink* sink,
-                          std::vector<DocOutcome>* outcomes_out);
-  void ProcessBatchSharded(std::shared_ptr<BatchState> state, Timestamp now,
-                           DeliverySink* sink,
-                           std::vector<DocOutcome>* outcomes_out);
-  /// The process-mode scatter: slots go over the wire to the owning
-  /// worker, the barrier and ordered gather are unchanged.
-  void ProcessBatchProcess(std::shared_ptr<BatchState> state, Timestamp now,
-                           DeliverySink* sink,
-                           std::vector<DocOutcome>* outcomes_out);
+  /// Runs one item on a local shard (its worker thread, or the caller
+  /// thread for a single shard): a document slot is processed and
+  /// published; a checkpoint marker checkpoints the partition. `stopping`
+  /// (a restart is draining the queue) skips the work.
+  void RunLocal(PipelineShard& shard, ShardWorkItem& item,
+                bool stopping) const;
+  /// The one substrate-dependent step of a batch or checkpoint: hands
+  /// `item` to shard `index` — run on the caller thread (one local shard),
+  /// enqueued for the shard's worker thread (with backpressure bounded by
+  /// `deadline`), or sent to its worker process. A non-ok status means the
+  /// item was not accounted for and the caller fails it; DeadlineExceeded
+  /// is a watchdog verdict against the shard.
+  Status Dispatch(size_t index, ShardWorkItem item,
+                  std::chrono::steady_clock::time_point deadline);
+  bool IsQuarantined(size_t index) const;
+  /// Watchdog verdict: quarantines shard `index` and counts the deadline
+  /// failure (once — an already quarantined shard is left as is).
+  void MarkStuck(size_t index);
+  /// Rebuilds the central DOCID map and the shared DTD registry from one
+  /// recovered partition (AttachStorageHub and RestartShard).
+  void HarvestPartition(const warehouse::Warehouse& recovered);
   /// Spawns the worker fleet (ctor tail, kProcess only).
   void SpawnWorkers();
   /// Marks shard `index` quarantined (worker death path; any thread).
@@ -631,7 +656,7 @@ class IngestPipeline {
   std::vector<std::unique_ptr<ShardWorkerProxy>> proxies_;
   std::unique_ptr<RemoteSource> remote_source_;
   Status worker_status_;  // first spawn error (ctor cannot fail)
-  uint64_t batch_seq_ = 0;
+  uint64_t batch_seq_ = 0;  // tags the in-flight batch's slots on the wire
   /// Replicated commands (encoded Subscribe/Unsubscribe/DomainRule frames,
   /// keyed by seq) replayed into a respawned worker to rebuild its
   /// detection structures.

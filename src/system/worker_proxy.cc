@@ -488,19 +488,8 @@ void ShardWorkerProxy::ReaderLoop() {
           action.event_key = std::move(a.event_key);
           out.actions.push_back(std::move(action));
         }
-        // Publication mirrors WorkerLoop exactly: outcome/done only while
-        // the batch is live, `remaining` decremented regardless, barrier
-        // notified at zero.
-        bool batch_done;
-        {
-          std::lock_guard<std::mutex> lock(bs->mutex);
-          if (!bs->abandoned) {
-            bs->outcomes[msg.slot] = std::move(out);
-            bs->done[msg.slot] = 1;
-          }
-          batch_done = --bs->remaining == 0;
-        }
-        if (batch_done) bs->cv.notify_all();
+        // Publication is the local shards' exactly (BatchState::Publish).
+        bs->Publish(msg.slot, std::move(out));
         break;
       }
       case ipc::MsgType::kCmdAck: {
@@ -664,22 +653,13 @@ void ShardWorkerProxy::FailOutstandingLocked(
     std::unordered_set<size_t> slots;
     slots.swap(outstanding_);
     lock.unlock();
-    bool batch_done = false;
-    {
-      std::lock_guard<std::mutex> bs_lock(bs->mutex);
-      for (size_t slot : slots) {
-        if (!bs->abandoned) {
-          DocOutcome out;
-          out.failed = true;
-          out.failed_stage = "shard";
-          out.status = Status::Unavailable("worker process down");
-          bs->outcomes[slot] = std::move(out);
-          bs->done[slot] = 1;
-        }
-        if (--bs->remaining == 0) batch_done = true;
-      }
+    for (size_t slot : slots) {
+      DocOutcome out;
+      out.failed = true;
+      out.failed_stage = "shard";
+      out.status = Status::Unavailable("worker process down");
+      bs->Publish(slot, std::move(out));
     }
-    if (batch_done) bs->cv.notify_all();
     lock.lock();
   }
   // Pending command acks fail Unavailable (the waiters re-check dead_).

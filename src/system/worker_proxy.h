@@ -28,7 +28,7 @@ namespace xymon::system {
 /// workers obey:
 ///
 ///   * SendSlot publishes the worker's SlotResult into the shared BatchState
-///     exactly like WorkerLoop does (under BatchState::mutex, honouring
+///     exactly like a local shard does (BatchState::Publish, honouring
 ///     `abandoned`; a stale result from an abandoned batch is dropped by its
 ///     batch sequence number, never misattributed to a newer batch).
 ///   * SendCheckpoint completes the shared CheckpointTicket when the

@@ -488,9 +488,14 @@ pid_t SpawnRawWorker(int* fd) {
   EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   pid_t pid = fork();
   if (pid == 0) {
-    dup2(sv[1], 3);
+    // Close the supervisor's end first: when fd 3 is free in the test
+    // process, socketpair hands it out as sv[0], and closing sv[0] after the
+    // dup2 would close the worker's own socket.
     close(sv[0]);
-    close(sv[1]);
+    if (sv[1] != 3) {
+      dup2(sv[1], 3);
+      close(sv[1]);
+    }
     char fd_arg[] = "3";
     char* const argv[] = {const_cast<char*>(kWorkerBin), fd_arg, nullptr};
     execv(kWorkerBin, argv);

@@ -2,7 +2,7 @@
 // through the FaultyStage decorators, containment (a stage throw fails one
 // document, never the process), the poison tracker, batch deadlines with the
 // shard watchdog, bounded-queue backpressure, and shard
-// restart-from-storage.
+// restart-from-storage (including a restart that fails and is retried).
 //
 // The acceptance sweep faults every stage-call point of a fixed seeded
 // workload — at 1 and at 4 shards — and requires: no crash, no barrier
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -403,6 +404,135 @@ TEST(WatchdogTest, StuckShardIsQuarantinedRestartedAndRebuiltFromStorage) {
   ASSERT_FALSE(clean_round3.empty());
   EXPECT_EQ(faulted_round3, clean_round3);
 }
+
+// ------------------------------------------ failed restart → quarantined --
+
+struct RestartFailureCase {
+  size_t shards;
+  bool containment;
+};
+
+void PrintTo(const RestartFailureCase& c, std::ostream* os) {
+  *os << c.shards << " shard(s), containment "
+      << (c.containment ? "on" : "off");
+}
+
+class RestartFailureTest : public ::testing::TestWithParam<RestartFailureCase> {
+};
+
+// A restart whose storage reopen fails must end with the shard quarantined,
+// on every substrate and with containment on or off: the scatter fails its
+// slots (the shard has no worker thread and no store attached), a
+// checkpoint does not report its partition durable, and the owner sees it
+// through has_unhealthy_shards() and retries. Once the fault clears, the
+// retry rebuilds the shard from its partition and the flow is bit-for-bit
+// the never-faulted run's.
+TEST_P(RestartFailureTest, FailedReopenQuarantinesAndRetryHealsFromStorage) {
+  const RestartFailureCase param = GetParam();
+  auto batches = MakeWorkload(/*rounds=*/3, /*urls=*/10);
+  const std::string victim = batches[0][0].url;
+
+  // Drives round 1, a round 2 and round 3; `faulted` fails the restart of
+  // the victim's shard before round 2 and heals it before round 3. The
+  // never-faulted run feeds round 2 without the victim shard's documents,
+  // which is what the faulted run ingests of it.
+  auto run = [&](bool faulted, std::vector<std::string>* round2_mail,
+                 std::vector<std::string>* round3_mail) {
+    SimClock clock(1000);
+    storage::MemEnv mem;
+    storage::FaultyEnv env(&mem);
+    XylemeMonitor::Options options;
+    options.num_shards = param.shards;
+    options.warehouse_path = "mon/wh";
+    options.env = &env;
+    options.fault_containment = param.containment;
+    options.auto_restart_shards = false;
+    auto opened = XylemeMonitor::Open(&clock, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    XylemeMonitor& monitor = **opened;
+    IngestPipeline& pipeline = monitor.pipeline();
+    ASSERT_TRUE(monitor.Subscribe(kWatchAll, "all@example.org").ok());
+    const size_t victim_shard = pipeline.ShardFor(victim);
+    auto mail_since = [&monitor](size_t from, std::vector<std::string>* out) {
+      for (size_t i = from; i < monitor.outbox().sent().size(); ++i) {
+        out->push_back(monitor.outbox().sent()[i].body);
+      }
+    };
+
+    monitor.ProcessFetchBatch(batches[0]);
+    ASSERT_TRUE(monitor.CheckpointStorage().ok());
+    clock.Advance(kHour);
+
+    std::vector<webstub::FetchedDoc> round2;
+    size_t victim_docs = 0;
+    for (const webstub::FetchedDoc& doc : batches[1]) {
+      const bool on_victim = pipeline.ShardFor(doc.url) == victim_shard;
+      victim_docs += on_victim ? 1 : 0;
+      if (faulted || !on_victim) round2.push_back(doc);
+    }
+    ASSERT_GT(victim_docs, 0u);
+
+    if (faulted) {
+      env.FailReads(true);
+      EXPECT_FALSE(pipeline.RestartShard(victim_shard).ok());
+      ASSERT_TRUE(pipeline.has_unhealthy_shards());
+      ASSERT_EQ(monitor.pipeline_stats().shard_status[victim_shard].health,
+                ShardHealth::kQuarantined);
+    }
+
+    const uint64_t failed_before = monitor.stats().failed_documents;
+    size_t sent_before = monitor.outbox().sent().size();
+    monitor.ProcessFetchBatch(round2);
+    mail_since(sent_before, round2_mail);
+    if (faulted) {
+      // Exactly the victim shard's slots failed, and with no stage, deadline
+      // or poison verdict behind them — they failed at the scatter, "shard".
+      PipelineStats ps = monitor.pipeline_stats();
+      EXPECT_EQ(monitor.stats().failed_documents - failed_before,
+                victim_docs);
+      EXPECT_EQ(ps.stage_failures, 0u);
+      EXPECT_EQ(ps.deadline_exceeded, 0u);
+      EXPECT_EQ(ps.poison_rejections, 0u);
+      // The quarantined partition is not reported durable.
+      env.FailReads(false);
+      EXPECT_FALSE(monitor.CheckpointStorage().ok());
+
+      size_t restarted = 0;
+      ASSERT_TRUE(pipeline.RestartUnhealthyShards(&restarted).ok());
+      EXPECT_EQ(restarted, 1u);
+      EXPECT_FALSE(pipeline.has_unhealthy_shards());
+    }
+    clock.Advance(kHour);
+
+    sent_before = monitor.outbox().sent().size();
+    monitor.ProcessFetchBatch(batches[2]);
+    mail_since(sent_before, round3_mail);
+    for (const ShardStatus& ss : monitor.pipeline_stats().shard_status) {
+      EXPECT_EQ(ss.health, ShardHealth::kHealthy);
+    }
+    EXPECT_EQ(pipeline.total_document_count(), 10u);
+  };
+
+  std::vector<std::string> faulted2, faulted3;
+  run(/*faulted=*/true, &faulted2, &faulted3);
+  if (::testing::Test::HasFatalFailure()) return;
+  std::vector<std::string> clean2, clean3;
+  run(/*faulted=*/false, &clean2, &clean3);
+
+  EXPECT_EQ(faulted2, clean2);
+  ASSERT_FALSE(clean3.empty());
+  EXPECT_EQ(faulted3, clean3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, RestartFailureTest,
+    ::testing::Values(RestartFailureCase{1, true}, RestartFailureCase{4, true},
+                      RestartFailureCase{1, false},
+                      RestartFailureCase{4, false}),
+    [](const ::testing::TestParamInfo<RestartFailureCase>& info) {
+      return std::to_string(info.param.shards) + "Shards" +
+             (info.param.containment ? "ContainmentOn" : "ContainmentOff");
+    });
 
 // ----------------------------------------------------------- backpressure --
 
