@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/alerters/prefix_matcher.h"
+#include "src/alerters/trie_prefix_matcher.h"
 #include "src/mqp/aes_matcher.h"
 #include "src/mqp/workload.h"
 #include "src/xml/parser.h"

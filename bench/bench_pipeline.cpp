@@ -14,13 +14,7 @@
 // the worker queues — the non-quiescing claim of DESIGN.md §12 in numbers:
 //   bench_pipeline [BENCH_pipeline.json [BENCH_checkpoint.json]]
 //
-// The fault section (fourth) measures the clean-path cost of the
-// self-healing machinery (DESIGN.md §13): the same shard sweep with fault
-// containment on (stage guards + per-batch health accounting, the default)
-// vs off — the overhead budget is <= 2%:
-//   bench_pipeline [... [BENCH_faults.json]]
-//
-// The IPC section (fifth) measures the clean-path cost of running the
+// The IPC section (fourth) measures the clean-path cost of running the
 // shards as supervised worker *processes* (DESIGN.md §14) — the same flow
 // at shard_mode = process with 1/2/4 workers vs the inline 1-shard
 // baseline, i.e. what frame encode + socketpair hop + decode costs per
@@ -86,11 +80,9 @@ struct ShardPoint {
 
 /// Batched document flow through the sharded pipeline: same synthetic web
 /// and subscription mix, documents pushed per-round with ProcessFetchBatch.
-/// `containment` toggles the DESIGN.md §13 stage guards for the fault
-/// section's on/off comparison; `mode` selects the execution substrate
-/// (worker threads vs supervised worker processes) for the IPC section.
-ShardPoint RunShardSweep(size_t shards, int subs, bool containment = true,
-                         int rounds = 4,
+/// `mode` selects the execution substrate (worker threads vs supervised
+/// worker processes) for the IPC section.
+ShardPoint RunShardSweep(size_t shards, int subs,
                          xymon::system::ShardMode mode =
                              xymon::system::ShardMode::kThread) {
   SyntheticWeb web(55);
@@ -106,7 +98,6 @@ ShardPoint RunShardSweep(size_t shards, int subs, bool containment = true,
   SimClock clock(0);
   XylemeMonitor::Options options;
   options.num_shards = shards;
-  options.fault_containment = containment;
   options.shard_mode = mode;
   options.worker_binary = XYMON_WORKER_BIN_PATH;
   XylemeMonitor monitor(&clock, options);
@@ -135,7 +126,7 @@ ShardPoint RunShardSweep(size_t shards, int subs, bool containment = true,
   monitor.ProcessFetchBatch(fetch_round());  // warm pass: everything "new"
   double micros = 0;
   size_t docs = 0;
-  for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < 4; ++round) {
     web.Step();
     clock.Advance(xymon::kDay);
     auto batch = fetch_round();
@@ -356,119 +347,6 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader(
-      "Fault containment overhead: clean-path shard sweep with the\n"
-      "DESIGN.md §13 stage guards on (default) vs off — budget <= 2%");
-  struct FaultPoint {
-    size_t shards;
-    double on_us;
-    double off_us;
-    double overhead_pct;
-  };
-  std::vector<FaultPoint> fault_points;
-  printf("%8s %16s %16s %12s\n", "shards", "on us/doc", "off us/doc",
-         "overhead");
-  for (size_t shards : {1u, 4u}) {
-    // Paired design: two monitors over the same web, fed the same batch
-    // every round in alternating order — second-scale machine drift hits
-    // both sides equally, which an unpaired A/B run cannot guarantee (the
-    // signal here is one try/catch frame, far below run-to-run noise).
-    SyntheticWeb pweb(55);
-    std::vector<std::string> purls;
-    for (int s = 0; s < 100; ++s) {
-      std::string site = "http://site" + std::to_string(s) + ".example.org/";
-      pweb.AddCatalogPage(site + "c.xml", site + "c.dtd", 20, 1.0);
-      pweb.AddNewsPage(site + "n.xml", {"camera", "museum"}, 1.0);
-      purls.push_back(site + "c.xml");
-      purls.push_back(site + "n.xml");
-    }
-    SimClock clock(0);
-    XylemeMonitor::Options opt_on, opt_off;
-    opt_on.num_shards = opt_off.num_shards = shards;
-    opt_on.fault_containment = true;
-    opt_off.fault_containment = false;
-    XylemeMonitor mon_on(&clock, opt_on), mon_off(&clock, opt_off);
-    Rng rng(9);
-    for (int i = 0; i < 2000; ++i) {
-      std::string sub = MakeSubscription(i, &rng);
-      (void)mon_on.Subscribe(sub, "u@x");
-      (void)mon_off.Subscribe(sub, "u@x");
-    }
-    auto fetch_round = [&] {
-      std::vector<xymon::webstub::FetchedDoc> docs;
-      docs.reserve(purls.size());
-      for (const auto& url : purls) {
-        xymon::webstub::FetchedDoc doc;
-        doc.url = url;
-        doc.body = pweb.Fetch(url)->body;
-        docs.push_back(std::move(doc));
-      }
-      return docs;
-    };
-    auto warm = fetch_round();
-    mon_on.ProcessFetchBatch(warm);
-    mon_off.ProcessFetchBatch(warm);
-    // Median of per-round paired ratios: a single slow round (scheduler
-    // hiccup, page-cache miss) cannot drag the verdict the way it would in
-    // a sum-of-times comparison.
-    std::vector<double> ratios, on_rounds, off_rounds;
-    size_t batch_docs = 0;
-    for (int round = 0; round < 30; ++round) {
-      pweb.Step();
-      clock.Advance(xymon::kDay);
-      auto batch = fetch_round();
-      batch_docs = batch.size();
-      double round_on = 0, round_off = 0;
-      if (round % 2 == 0) {
-        round_off = TimeMicros([&] { mon_off.ProcessFetchBatch(batch); });
-        round_on = TimeMicros([&] { mon_on.ProcessFetchBatch(batch); });
-      } else {
-        round_on = TimeMicros([&] { mon_on.ProcessFetchBatch(batch); });
-        round_off = TimeMicros([&] { mon_off.ProcessFetchBatch(batch); });
-      }
-      ratios.push_back(round_on / round_off);
-      on_rounds.push_back(round_on);
-      off_rounds.push_back(round_off);
-    }
-    auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v[v.size() / 2];
-    };
-    double on = median(on_rounds) / static_cast<double>(batch_docs);
-    double off = median(off_rounds) / static_cast<double>(batch_docs);
-    double pct = (median(ratios) - 1.0) * 100.0;
-    fault_points.push_back(FaultPoint{shards, on, off, pct});
-    printf("%8zu %16.1f %16.1f %11.2f%%\n", shards, on, off, pct);
-  }
-  printf(
-      "\nthe guards are one try/catch frame and a per-batch health update —\n"
-      "nothing per-node, nothing per-event — so the clean path pays noise,\n"
-      "not a tax, for surviving a poisoned document or a wedged stage.\n");
-
-  if (argc > 3) {
-    FILE* f = fopen(argv[3], "w");
-    if (f == nullptr) {
-      fprintf(stderr, "cannot write %s\n", argv[3]);
-      return 1;
-    }
-    fprintf(f, "{\n  \"bench\": \"pipeline_fault_containment_overhead\",\n");
-    fprintf(f, "  \"host_cores\": %u,\n", cores);
-    fprintf(f, "  \"subscriptions\": 2000,\n");
-    fprintf(f, "  \"overhead_budget_pct\": 2.0,\n  \"points\": [\n");
-    for (size_t i = 0; i < fault_points.size(); ++i) {
-      fprintf(f,
-              "    {\"shards\": %zu, \"containment_on_us_per_doc\": %.1f, "
-              "\"containment_off_us_per_doc\": %.1f, "
-              "\"overhead_pct\": %.2f}%s\n",
-              fault_points[i].shards, fault_points[i].on_us,
-              fault_points[i].off_us, fault_points[i].overhead_pct,
-              i + 1 < fault_points.size() ? "," : "");
-    }
-    fprintf(f, "  ]\n}\n");
-    fclose(f);
-    printf("\nwrote %s\n", argv[3]);
-  }
-
-  PrintHeader(
       "Worker processes: clean-path IPC overhead of shard_mode = process\n"
       "(DESIGN.md §14 — frame encode + socketpair hop + decode per slot)");
   struct IpcPoint {
@@ -483,8 +361,8 @@ int main(int argc, char** argv) {
   for (size_t workers : {1u, 2u, 4u}) {
     ipc_points.push_back(
         {"process", workers,
-         RunShardSweep(workers, /*subs=*/2000, /*containment=*/true,
-                       /*rounds=*/4, xymon::system::ShardMode::kProcess)});
+         RunShardSweep(workers, /*subs=*/2000,
+                       xymon::system::ShardMode::kProcess)});
   }
   const double inline_us = ipc_points[0].point.us_per_doc;
   for (const IpcPoint& p : ipc_points) {
@@ -498,10 +376,10 @@ int main(int argc, char** argv) {
       "one worker the partitions process in parallel, buying the overhead\n"
       "back — the cost of kill-and-restart containment is this table.\n");
 
-  if (argc > 4) {
-    FILE* f = fopen(argv[4], "w");
+  if (argc > 3) {
+    FILE* f = fopen(argv[3], "w");
     if (f == nullptr) {
-      fprintf(stderr, "cannot write %s\n", argv[4]);
+      fprintf(stderr, "cannot write %s\n", argv[3]);
       return 1;
     }
     fprintf(f, "{\n  \"bench\": \"pipeline_worker_process_overhead\",\n");
@@ -519,7 +397,7 @@ int main(int argc, char** argv) {
     }
     fprintf(f, "  ]\n}\n");
     fclose(f);
-    printf("\nwrote %s\n", argv[4]);
+    printf("\nwrote %s\n", argv[3]);
   }
   return 0;
 }

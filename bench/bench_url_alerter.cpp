@@ -12,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "src/alerters/prefix_matcher.h"
+#include "src/alerters/trie_prefix_matcher.h"
 #include "src/common/rng.h"
 
 using xymon::Rng;

@@ -1,7 +1,6 @@
 #ifndef XYMON_ALERTERS_URL_ALERTER_H_
 #define XYMON_ALERTERS_URL_ALERTER_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,18 +21,12 @@ namespace xymon::alerters {
 /// The Subscription Manager registers and unregisters conditions at runtime
 /// (codes are chosen by the manager). Detection appends codes unordered;
 /// the pipeline sorts the final set once.
+///
+/// `URL extends` runs on the hash structure the paper shipped; the trie
+/// ("dictionary") it rejected for its memory cost at millions of patterns
+/// (§6.2) is a bench baseline (src/alerters/trie_prefix_matcher.h).
 class UrlAlerter {
  public:
-  struct Options {
-    /// Use the trie ("dictionary") for `URL extends`; default is the hash
-    /// structure the paper shipped (the trie costs too much memory at
-    /// millions of patterns, §6.2).
-    bool use_trie_for_prefixes = false;
-  };
-
-  UrlAlerter() : UrlAlerter(Options{}) {}
-  explicit UrlAlerter(const Options& options);
-
   /// Registers `condition` under `code`. InvalidArgument if the condition
   /// kind is not a metadata condition.
   Status Register(mqp::AtomicEvent code, const Condition& condition);
@@ -44,7 +37,6 @@ class UrlAlerter {
               std::vector<mqp::AtomicEvent>* out) const;
 
   size_t condition_count() const { return condition_count_; }
-  const PrefixMatcher& prefix_matcher() const { return *prefixes_; }
 
  private:
   struct DateCondition {
@@ -53,7 +45,7 @@ class UrlAlerter {
     mqp::AtomicEvent code;
   };
 
-  std::unique_ptr<PrefixMatcher> prefixes_;
+  HashPrefixMatcher prefixes_;
   std::unordered_map<std::string, mqp::AtomicEvent> url_equals_;
   std::unordered_map<std::string, mqp::AtomicEvent> filename_equals_;
   std::unordered_map<uint64_t, mqp::AtomicEvent> docid_equals_;

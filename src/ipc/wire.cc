@@ -159,8 +159,6 @@ std::string HelloMsg::Encode() const {
   w.U32(version);
   w.U32(shard_index);
   w.U32(num_shards);
-  w.U8(use_trie_prefixes);
-  w.U8(containment);
   w.U32(max_parse_failures);
   w.U32(static_cast<uint32_t>(faults.size()));
   for (const WireFault& f : faults) {
@@ -178,7 +176,6 @@ Status HelloMsg::Decode(std::string_view body, HelloMsg* out) {
   uint32_t n = 0;
   if (!r.U32(&out->magic) || !r.U32(&out->version) ||
       !r.U32(&out->shard_index) || !r.U32(&out->num_shards) ||
-      !r.U8(&out->use_trie_prefixes) || !r.U8(&out->containment) ||
       !r.U32(&out->max_parse_failures) || !r.U32(&n)) {
     return CorruptMsg("Hello");
   }
@@ -235,7 +232,6 @@ std::string SubscribeMsg::Encode() const {
   w.U8(static_cast<uint8_t>(MsgType::kSubscribe));
   w.U64(seq);
   w.I64(now);
-  w.U8(privileged);
   w.Str(text);
   w.Str(email);
   return w.Take();
@@ -243,8 +239,8 @@ std::string SubscribeMsg::Encode() const {
 
 Status SubscribeMsg::Decode(std::string_view body, SubscribeMsg* out) {
   WireReader r(body);
-  if (!r.U64(&out->seq) || !r.I64(&out->now) || !r.U8(&out->privileged) ||
-      !r.Str(&out->text) || !r.Str(&out->email) || !r.AtEnd()) {
+  if (!r.U64(&out->seq) || !r.I64(&out->now) || !r.Str(&out->text) ||
+      !r.Str(&out->email) || !r.AtEnd()) {
     return CorruptMsg("Subscribe");
   }
   return Status::OK();

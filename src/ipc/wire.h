@@ -34,7 +34,7 @@ namespace xymon::ipc {
 
 /// "XYMW" — first field of the handshake frame.
 inline constexpr uint32_t kWireMagic = 0x58594D57;
-inline constexpr uint32_t kWireVersion = 1;
+inline constexpr uint32_t kWireVersion = 2;
 /// Frame-length cap, mirroring storage::kMaxLogRecordLen: a corrupt length
 /// field cannot drive an unbounded allocation.
 inline constexpr uint32_t kMaxFrameLen = 64u << 20;  // 64 MiB
@@ -125,8 +125,6 @@ struct HelloMsg {
   uint32_t version = kWireVersion;
   uint32_t shard_index = 0;
   uint32_t num_shards = 1;
-  uint8_t use_trie_prefixes = 0;
-  uint8_t containment = 1;
   uint32_t max_parse_failures = 3;
   std::vector<WireFault> faults;
 
@@ -155,7 +153,6 @@ struct OpenPartitionMsg {
 struct SubscribeMsg {
   uint64_t seq = 0;
   int64_t now = 0;
-  uint8_t privileged = 0;
   std::string text;
   std::string email;
 

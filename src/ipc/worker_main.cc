@@ -118,8 +118,7 @@ class WorkerRuntime {
     }
     injector_.set_plan(std::move(plan));
 
-    alerters::UrlAlerter::Options url_options{hello_.use_trie_prefixes != 0};
-    shard_ = std::make_unique<system::PipelineShard>(&classifier_, url_options);
+    shard_ = std::make_unique<system::PipelineShard>(&classifier_);
     shard_->warehouse.set_max_parse_failures(hello_.max_parse_failures);
     if (hello_.num_shards > 1) {
       dtd_registry_ = std::make_unique<RemoteDtdRegistry>(fd_, &pending_);
@@ -267,7 +266,7 @@ class WorkerRuntime {
 
     system::DocOutcome out;
     system::ProcessDocJob(*shard_, job, msg.docid_hint, msg.now,
-                          hello_.containment != 0, resolver_.get(), &out);
+                          resolver_.get(), &out);
 
     SlotResultMsg result;
     result.batch = msg.batch;

@@ -9,28 +9,6 @@ namespace xymon::system {
 
 namespace {
 
-IngestPipeline::Options PipelineOptions(
-    const XylemeMonitor::Options& options,
-    const warehouse::DomainClassifier* classifier) {
-  IngestPipeline::Options out;
-  out.shards = options.num_shards;
-  out.use_trie_prefixes = options.use_trie_prefixes;
-  out.max_parse_failures_per_url = options.max_parse_failures_per_url;
-  out.classifier = classifier;
-  out.containment = options.fault_containment;
-  out.batch_deadline_ms = options.batch_deadline_ms;
-  out.max_stage_failures_per_url = options.max_stage_failures_per_url;
-  out.queue_high_water_limit = options.queue_high_water_limit;
-  out.health_recovery_batches = options.health_recovery_batches;
-  out.stage_faults = options.stage_faults;
-  out.shard_mode = options.shard_mode;
-  out.worker_binary = options.worker_binary;
-  out.worker_heartbeat_interval_ms = options.worker_heartbeat_interval_ms;
-  out.worker_heartbeat_timeout_ms = options.worker_heartbeat_timeout_ms;
-  out.worker_command_timeout_ms = options.worker_command_timeout_ms;
-  return out;
-}
-
 // Wires the manager to shard 0 as the primary detection replica and shards
 // 1..N-1 as mirrors — every Register/Unregister fans out to all of them
 // (paper §4.2: the Subscription Manager "warns each MQP").
@@ -53,14 +31,21 @@ manager::SubscriptionManager::Components BuildComponents(
   return components;
 }
 
+std::vector<DocJob> FetchJobs(const std::vector<webstub::FetchedDoc>& docs) {
+  std::vector<DocJob> jobs;
+  jobs.reserve(docs.size());
+  for (const webstub::FetchedDoc& doc : docs) {
+    jobs.push_back(DocJob{doc.url, doc.body, /*deletion=*/false});
+  }
+  return jobs;
+}
+
 }  // namespace
 
 XylemeMonitor::XylemeMonitor(const Clock* clock, const Options& options)
     : clock_(clock),
-      crawl_batch_size_(options.crawl_batch_size),
       auto_restart_shards_(options.auto_restart_shards),
-      pipeline_(PipelineOptions(options, &classifier_)),
-      outbox_(reporter::Outbox::Options{options.outbox_daily_capacity, true}),
+      pipeline_(options, &classifier_),
       query_engine_(pipeline_.document_source()),
       reporter_(&outbox_, &query_engine_),
       manager_(BuildComponents(&pipeline_, &trigger_engine_, &reporter_,
@@ -281,14 +266,15 @@ void XylemeMonitor::FlushTriggerEventsLocked() {
   }
 }
 
-void XylemeMonitor::ProcessJobsLocked(std::vector<DocJob> jobs) {
+void XylemeMonitor::ProcessJobsLocked(std::vector<DocJob> jobs,
+                                      std::vector<DocOutcome>* outcomes) {
   // Kill-at-a-batch-boundary containment: sweep for dead workers and
   // restart quarantined shards *before* scattering, so a worker that died
   // between batches is respawned (recovered from its partition, replayed
   // the subscription log) in time for this batch to see a full fleet.
   pipeline_.PollWorkers();
   MaybeRestartShardsLocked();
-  pipeline_.ProcessBatch(std::move(jobs), clock_->Now(), this);
+  pipeline_.ProcessBatch(std::move(jobs), clock_->Now(), this, outcomes);
   FlushTriggerEventsLocked();
   MaybeRestartShardsLocked();
 }
@@ -308,22 +294,12 @@ void XylemeMonitor::ProcessFetch(const std::string& url,
 void XylemeMonitor::ProcessFetchBatch(
     const std::vector<webstub::FetchedDoc>& docs) {
   std::lock_guard<std::mutex> lock(api_mutex_);
-  std::vector<DocJob> jobs;
-  jobs.reserve(docs.size());
-  for (const webstub::FetchedDoc& doc : docs) {
-    jobs.push_back(DocJob{doc.url, doc.body, /*deletion=*/false});
-  }
-  ProcessJobsLocked(std::move(jobs));
+  ProcessJobsLocked(FetchJobs(docs));
 }
 
 Status XylemeMonitor::ProcessDeletionLocked(const std::string& url) {
-  pipeline_.PollWorkers();
-  MaybeRestartShardsLocked();
   std::vector<DocOutcome> outcomes;
-  pipeline_.ProcessBatch({DocJob{url, /*body=*/"", /*deletion=*/true}},
-                         clock_->Now(), this, &outcomes);
-  FlushTriggerEventsLocked();
-  MaybeRestartShardsLocked();
+  ProcessJobsLocked({DocJob{url, /*body=*/"", /*deletion=*/true}}, &outcomes);
   return outcomes.empty() ? Status::OK() : outcomes[0].status;
 }
 
@@ -337,29 +313,7 @@ void XylemeMonitor::ProcessCrawl(webstub::Crawler* crawler) {
   for (const auto& [url, period] : manager_.refresh_hints()) {
     crawler->SetRefreshHint(url, period);
   }
-  Timestamp now = clock_->Now();
-  auto process_docs = [this](const std::vector<webstub::FetchedDoc>& docs) {
-    std::vector<DocJob> jobs;
-    jobs.reserve(docs.size());
-    for (const webstub::FetchedDoc& doc : docs) {
-      jobs.push_back(DocJob{doc.url, doc.body, /*deletion=*/false});
-    }
-    ProcessJobsLocked(std::move(jobs));
-  };
-  if (crawl_batch_size_ == 0) {
-    // One batch per round: everything due at once (the historical shape).
-    process_docs(crawler->FetchAllDue(now));
-  } else {
-    // Bounded batches keep scatter memory proportional to the batch, not
-    // the backlog. The attempted set spans the round (see FetchAllDue).
-    std::unordered_set<std::string> attempted;
-    while (true) {
-      std::vector<webstub::FetchedDoc> docs =
-          crawler->FetchBatch(now, crawl_batch_size_, &attempted);
-      if (docs.empty()) break;
-      process_docs(docs);
-    }
-  }
+  ProcessJobsLocked(FetchJobs(crawler->FetchAllDue(clock_->Now())));
   ProcessDocStatusEventsLocked(crawler->TakeEvents());
   quarantined_urls_ = crawler->quarantined_count();
   last_crawler_stats_ = crawler->stats();

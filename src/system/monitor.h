@@ -37,16 +37,10 @@ namespace xymon::system {
 ///   monitor.Tick();                    // continuous queries, reports
 class XylemeMonitor : private DeliverySink {
  public:
-  struct Options {
-    /// Document-flow partitions (paper §4.2). 1 = one shard run on the
-    /// caller thread; N > 1 runs N shard worker threads.
-    size_t num_shards = 1;
-    /// ProcessCrawl batch size: how many due documents are fetched and
-    /// pushed through the pipeline per batch. 0 = one batch per round
-    /// (everything due at once — the historical behaviour).
-    size_t crawl_batch_size = 0;
-    /// Trie vs hash `URL extends` structure (see DESIGN.md T-URL).
-    bool use_trie_prefixes = false;
+  /// The document-flow knobs (shard count, self-healing, worker processes)
+  /// are the pipeline's own; the monitor adds the storage and subscription
+  /// ones.
+  struct Options : IngestPipeline::Options {
     /// Subscription recovery log path; "" disables persistence.
     std::string storage_path;
     /// Warehouse store path; "" keeps the repository in memory only. The
@@ -63,11 +57,6 @@ class XylemeMonitor : private DeliverySink {
     /// Filesystem all stores run on; nullptr = the real one. The crash
     /// sweep injects a FaultyEnv here.
     storage::Env* env = nullptr;
-    /// Outbox capacity (0 = unlimited); see bench_reporter.
-    uint64_t outbox_daily_capacity = 0;
-    /// Consecutive malformed bodies absorbed per warehoused-XML URL before
-    /// the type change is accepted (degrade-don't-die; 0 = accept at once).
-    uint32_t max_parse_failures_per_url = 3;
     /// fsync the subscription log every N appends (0 = flush only); see
     /// LogStore::Options.
     uint32_t storage_fsync_every_n = 0;
@@ -75,47 +64,10 @@ class XylemeMonitor : private DeliverySink {
     /// warehouse partitions, subscriptions, users, outbox (0 disables).
     size_t auto_checkpoint_bytes = 64u << 20;
     sublang::ValidatorOptions validator;
-
-    // -- Self-healing pipeline (DESIGN.md §13) ------------------------------
-
-    /// Stage containment: a stage that throws fails its document instead of
-    /// the process, with poison tracking and shard health accounting. Off
-    /// restores the die-on-throw seed behaviour (bench baseline).
-    bool fault_containment = true;
-    /// Batch deadline in ms (0 = none; multi-shard only): the watchdog
-    /// fails a batch stuck past it and quarantines the wedged shards.
-    uint32_t batch_deadline_ms = 0;
-    /// Consecutive contained stage failures before a URL is quarantined by
-    /// the poison tracker (0 = never).
-    uint32_t max_stage_failures_per_url = 3;
-    /// Shard work-queue high-water mark (0 = unbounded): scatter blocks at
-    /// the limit instead of growing the queue without bound.
-    size_t queue_high_water_limit = 0;
-    /// Clean batches before a degraded shard recovers to healthy.
-    uint64_t health_recovery_batches = 3;
     /// Restart quarantined shards from storage automatically after the
     /// batch that quarantined them (and before the next one). Off leaves
     /// them quarantined for the operator (pipeline().RestartShard).
     bool auto_restart_shards = true;
-    /// Stage fault injection (tests/benches); owner outlives the monitor.
-    StageFaultInjector* stage_faults = nullptr;
-
-    // -- Worker processes (DESIGN.md §14) -----------------------------------
-
-    /// Execution substrate for the shards: kThread (default) runs worker
-    /// threads, kProcess runs each shard as a supervised worker *process*
-    /// over the framed wire protocol, with heartbeats and kill-and-restart
-    /// containment — a crashing or wedged worker costs its shard's slots of
-    /// one batch, never the monitor.
-    ShardMode shard_mode = ShardMode::kThread;
-    /// Worker executable for kProcess; "" falls back to $XYMON_WORKER_BIN.
-    std::string worker_binary;
-    /// Supervisor→worker ping cadence (0 disables the wedge detector).
-    uint32_t worker_heartbeat_interval_ms = 500;
-    /// A worker silent for longer than this is SIGKILLed (0 disables).
-    uint32_t worker_heartbeat_timeout_ms = 5000;
-    /// Bound on worker command round-trips and full-buffer slot writes.
-    uint32_t worker_command_timeout_ms = 10000;
   };
 
   struct Stats {
@@ -157,7 +109,8 @@ class XylemeMonitor : private DeliverySink {
     bool operator==(const HealthReport&) const = default;
   };
 
-  explicit XylemeMonitor(const Clock* clock) : XylemeMonitor(clock, {}) {}
+  explicit XylemeMonitor(const Clock* clock)
+      : XylemeMonitor(clock, Options()) {}
   XylemeMonitor(const Clock* clock, const Options& options);
 
   XylemeMonitor(const XylemeMonitor&) = delete;
@@ -227,16 +180,19 @@ class XylemeMonitor : private DeliverySink {
   }
 
   /// Batch entry point: pushes a whole crawl result through the pipeline in
-  /// one scatter/gather. Delivery order is submission order — identical to
-  /// calling ProcessFetch per document, for every shard count.
+  /// one scatter/gather. Delivery order is submission order, for every shard
+  /// count, and notifications match calling ProcessFetch per document —
+  /// except for continuous queries a notification triggers: they run at the
+  /// post-batch barrier (DESIGN.md "Trigger timing"), so they see the whole
+  /// batch ingested and their report bodies can differ from a per-document
+  /// run's.
   void ProcessFetchBatch(const std::vector<webstub::FetchedDoc>& docs);
 
   /// Drives one acquisition round end-to-end: pushes `refresh` hints,
-  /// fetches everything due at the current clock (in batches of
-  /// Options::crawl_batch_size), processes each batch, routes the crawler's
-  /// doc-status transitions into the alerter chain and refreshes the health
-  /// counters. The degrade-don't-die entry point — a faulting web never
-  /// aborts the round.
+  /// fetches everything due at the current clock, processes it as one
+  /// batch, routes the crawler's doc-status transitions into the alerter
+  /// chain and refreshes the health counters. The degrade-don't-die entry
+  /// point — a faulting web never aborts the round.
   void ProcessCrawl(webstub::Crawler* crawler);
 
   /// Routes observed doc-status transitions (paper's weak events) into the
@@ -295,7 +251,11 @@ class XylemeMonitor : private DeliverySink {
   void Deliver(const DocJob& job, DocOutcome& outcome) override;
 
   // Unlocked internals; public methods take api_mutex_ and delegate.
-  void ProcessJobsLocked(std::vector<DocJob> jobs);
+  /// One batch through the pipeline, bracketed by the worker death sweep
+  /// and shard restarts; `outcomes`, if non-null, receives the per-slot
+  /// outcomes (see IngestPipeline::ProcessBatch).
+  void ProcessJobsLocked(std::vector<DocJob> jobs,
+                         std::vector<DocOutcome>* outcomes = nullptr);
   Status ProcessDeletionLocked(const std::string& url);
   void ProcessDocStatusEventsLocked(
       const std::vector<webstub::DocStatusEvent>& events);
@@ -313,7 +273,6 @@ class XylemeMonitor : private DeliverySink {
   void MaybeRestartShardsLocked();
 
   const Clock* clock_;
-  size_t crawl_batch_size_;
   bool auto_restart_shards_;
   warehouse::DomainClassifier classifier_;
   /// Owns every PersistentMap; declared before pipeline_ so the shard

@@ -89,10 +89,8 @@ const char* ShardHealthName(ShardHealth health) {
   return "unknown";
 }
 
-PipelineShard::PipelineShard(const warehouse::DomainClassifier* classifier,
-                             const alerters::UrlAlerter::Options& url_options)
+PipelineShard::PipelineShard(const warehouse::DomainClassifier* classifier)
     : warehouse(classifier),
-      url_alerter(url_options),
       alert_pipeline(&url_alerter, &xml_alerter, &html_alerter),
       ingest_stage(std::make_unique<WarehouseIngestStage>(&warehouse)),
       detect_stage(std::make_unique<AlerterDetectStage>(&alert_pipeline)),
@@ -197,11 +195,9 @@ class IngestPipeline::RemoteSource : public warehouse::DocumentSource {
 };
 
 std::unique_ptr<PipelineShard> IngestPipeline::MakeShard() {
-  alerters::UrlAlerter::Options url_options{options_.use_trie_prefixes};
-  auto shard = std::make_unique<PipelineShard>(options_.classifier,
-                                               url_options);
+  auto shard = std::make_unique<PipelineShard>(classifier_);
   shard->warehouse.set_max_parse_failures(options_.max_parse_failures_per_url);
-  if (options_.shards > 1) {
+  if (options_.num_shards > 1) {
     shard->warehouse.set_dtd_registry(&dtd_registry_);
   }
   if (options_.stage_faults != nullptr) {
@@ -215,16 +211,18 @@ std::unique_ptr<PipelineShard> IngestPipeline::MakeShard() {
   return shard;
 }
 
-IngestPipeline::IngestPipeline(const Options& options) : options_(options) {
-  options_.shards = std::max<size_t>(1, options.shards);
-  shards_.reserve(options_.shards);
-  for (size_t i = 0; i < options_.shards; ++i) {
+IngestPipeline::IngestPipeline(const Options& options,
+                               const warehouse::DomainClassifier* classifier)
+    : options_(options), classifier_(classifier) {
+  options_.num_shards = std::max<size_t>(1, options.num_shards);
+  shards_.reserve(options_.num_shards);
+  for (size_t i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(MakeShard());
   }
   sharded_source_ = std::make_unique<ShardedSource>(&shards_);
   if (options_.shard_mode == ShardMode::kProcess) {
     SpawnWorkers();
-  } else if (options_.shards > 1) {
+  } else if (options_.num_shards > 1) {
     for (auto& shard : shards_) {
       shard->worker = std::thread(&IngestPipeline::WorkerLoop, this,
                                   shard.get());
@@ -233,16 +231,8 @@ IngestPipeline::IngestPipeline(const Options& options) : options_(options) {
 }
 
 void IngestPipeline::SpawnWorkers() {
-  ShardWorkerProxy::Options popts;
-  popts.binary = options_.worker_binary;
-  popts.heartbeat_interval_ms = options_.worker_heartbeat_interval_ms;
-  popts.heartbeat_timeout_ms = options_.worker_heartbeat_timeout_ms;
-  popts.command_timeout_ms = options_.worker_command_timeout_ms;
-
   ipc::HelloMsg hello;
   hello.num_shards = static_cast<uint32_t>(shards_.size());
-  hello.use_trie_prefixes = options_.use_trie_prefixes ? 1 : 0;
-  hello.containment = options_.containment ? 1 : 0;
   hello.max_parse_failures = options_.max_parse_failures_per_url;
   if (options_.stage_faults != nullptr) {
     for (const StageFaultSpec& f : options_.stage_faults->plan().faults) {
@@ -266,7 +256,7 @@ void IngestPipeline::SpawnWorkers() {
       QuarantineShard(shard_index);
     };
     proxies_.push_back(
-        std::make_unique<ShardWorkerProxy>(i, popts, std::move(sup)));
+        std::make_unique<ShardWorkerProxy>(i, options_, std::move(sup)));
     proxies_[i]->set_counter_shard(shards_[i].get());
     hello.shard_index = static_cast<uint32_t>(i);
     Status st = proxies_[i]->Spawn(hello);
@@ -318,19 +308,13 @@ uint64_t IngestPipeline::AssignDocid(const DocJob& job) {
 }
 
 void ProcessDocJob(PipelineShard& shard, const DocJob& job,
-                   uint64_t docid_hint, Timestamp now, bool containment,
+                   uint64_t docid_hint, Timestamp now,
                    const NotifyResolver* resolver, DocOutcome* outp) {
   DocOutcome& out = *outp;
   StageCounters ingest_delta, detect_delta, match_delta, notify_delta;
 
   // Containment: a stage that throws fails this document, not the process.
-  // With containment off the exception escapes (the seed's behaviour, and
-  // the bench baseline).
   auto guarded = [&](const char* stage_name, auto&& fn) -> bool {
-    if (!containment) {
-      fn();
-      return true;
-    }
     try {
       fn();
       return true;
@@ -432,7 +416,7 @@ void IngestPipeline::RunLocal(PipelineShard& shard, ShardWorkItem& item,
   DocOutcome out;
   if (!skip) {
     ProcessDocJob(shard, bs.jobs[item.slot], item.docid_hint, item.now,
-                  options_.containment, resolver_, &out);
+                  resolver_, &out);
   }
   // An abandoned batch's owner is long gone; publishing only releases the
   // slot (the BatchState lives as long as any queued item references it).
@@ -529,7 +513,7 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob>&& jobs, Timestamp now,
 
   // No deadline configured = one that never comes.
   const steady::time_point deadline =
-      options_.containment && options_.batch_deadline_ms > 0
+      options_.batch_deadline_ms > 0
           ? steady::now() + std::chrono::milliseconds(options_.batch_deadline_ms)
           : steady::time_point::max();
 
@@ -548,7 +532,7 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob>&& jobs, Timestamp now,
   for (size_t i = 0; i < n; ++i) {
     const DocJob& job = state->jobs[i];
     const uint64_t hint = AssignDocid(job);
-    if (options_.containment && poisoned_.count(job.url) != 0) {
+    if (poisoned_.count(job.url) != 0) {
       ++poison_rejections_;
       fail_slot(i, "poisoned",
                 Status::ResourceExhausted(
@@ -624,7 +608,6 @@ void IngestPipeline::ProcessBatch(std::vector<DocJob>&& jobs, Timestamp now,
 
 void IngestPipeline::UpdateBatchAccounting(
     const std::vector<DocJob>& jobs, const std::vector<DocOutcome>& outcomes) {
-  if (!options_.containment) return;
   std::vector<uint64_t> failures(shards_.size(), 0);
   std::vector<uint8_t> touched(shards_.size(), 0);
   for (size_t i = 0; i < jobs.size(); ++i) {
@@ -703,7 +686,7 @@ Status IngestPipeline::AttachStorageHub(storage::StorageHub* hub) {
     // starting document count (refreshed by every SlotResult).
     std::optional<warehouse::Warehouse> scratch;
     warehouse::Warehouse& recovered =
-        process_mode() ? scratch.emplace(options_.classifier)
+        process_mode() ? scratch.emplace(classifier_)
                        : shards_[i]->warehouse;
     XYMON_RETURN_IF_ERROR(recovered.AttachStore(hub->partition(i)));
     HarvestPartition(recovered);
@@ -888,9 +871,6 @@ Status IngestPipeline::ReplicateSubscribe(const std::string& text,
   ipc::SubscribeMsg msg;
   msg.seq = replay_seq_++;
   msg.now = now;
-  // The manager already validated and budgeted the subscription; the worker
-  // replays it verbatim, so the privilege check must not re-run.
-  msg.privileged = 1;
   msg.text = text;
   msg.email = email;
   return BroadcastCommand(msg.seq, msg.Encode());

@@ -65,12 +65,12 @@ enum class ShardMode { kInline, kThread, kProcess };
 // processes — runs the same scatter/barrier/ordered-gather path; only the
 // hand-off of one item to its shard differs (IngestPipeline::Dispatch).
 //
-// The pipeline is self-healing (DESIGN.md §13): with containment on, a
-// stage that throws fails only its document's DocOutcome, a URL that keeps
-// killing a stage is quarantined (the poison tracker), a batch that runs
-// past its deadline is failed cleanly by the watchdog (the barrier always
-// releases), and a shard marked quarantined can be torn down and rebuilt
-// from its durable StorageHub partition (RestartShard).
+// The pipeline is self-healing (DESIGN.md §13): a stage that throws fails
+// only its document's DocOutcome, a URL that keeps killing a stage is
+// quarantined (the poison tracker), a batch that runs past its deadline is
+// failed cleanly by the watchdog (the barrier always releases), and a shard
+// marked quarantined can be torn down and rebuilt from its durable
+// StorageHub partition (RestartShard).
 // ---------------------------------------------------------------------------
 
 /// One unit of work entering the pipeline.
@@ -219,7 +219,7 @@ struct PipelineStats {
   /// Deepest shard work queue observed (worker-thread shards only; a
   /// single shard and worker processes have no local queue).
   uint64_t queue_high_water = 0;
-  // -- Self-healing counters (all zero with containment off) ----------------
+  // -- Self-healing counters -----------------------------------------------
   uint64_t failed_documents = 0;    // DocOutcome::failed delivered
   uint64_t stage_failures = 0;      // contained stage throws, all shards
   uint64_t deadline_exceeded = 0;   // slots failed by the watchdog
@@ -338,8 +338,7 @@ struct ShardWorkItem {
 /// replica of every detection structure (paper §4.2 — the Subscription
 /// Manager "warns each MQP" through SubscriptionManager::DetectionReplica).
 struct PipelineShard {
-  PipelineShard(const warehouse::DomainClassifier* classifier,
-                const alerters::UrlAlerter::Options& url_options);
+  explicit PipelineShard(const warehouse::DomainClassifier* classifier);
 
   // Components (construction order matters: alert_pipeline points at the
   // alerters).
@@ -392,7 +391,7 @@ struct PipelineShard {
 /// the identical code path over its own PipelineShard that the pipeline's
 /// local shards run.
 void ProcessDocJob(PipelineShard& shard, const DocJob& job,
-                   uint64_t docid_hint, Timestamp now, bool containment,
+                   uint64_t docid_hint, Timestamp now,
                    const NotifyResolver* resolver, DocOutcome* out);
 
 // -- The pipeline ------------------------------------------------------------
@@ -403,24 +402,18 @@ void ProcessDocJob(PipelineShard& shard, const DocJob& job,
 /// quiescing that lets stage 4a read manager state from shard threads.
 class IngestPipeline {
  public:
+  /// Every knob of the document flow. XylemeMonitor::Options derives from
+  /// this struct, so each knob is declared once.
   struct Options {
-    /// Number of document-flow partitions. 1 = the shard runs on the caller
-    /// thread (no worker threads) outside process mode.
-    size_t shards = 1;
-    /// Trie vs hash `URL extends` structure, per shard.
-    bool use_trie_prefixes = false;
-    /// Degrade-don't-die cap, per shard warehouse.
+    /// Number of document-flow partitions (paper §4.2). 1 = the shard runs
+    /// on the caller thread (no worker threads) outside process mode.
+    size_t num_shards = 1;
+    /// Consecutive malformed bodies absorbed per warehoused-XML URL before
+    /// the type change is accepted (degrade-don't-die; 0 = accept at once).
     uint32_t max_parse_failures_per_url = 3;
-    /// Domain classifier shared by every shard (owner outlives pipeline).
-    const warehouse::DomainClassifier* classifier = nullptr;
 
     // -- Self-healing (DESIGN.md §13) ---------------------------------------
 
-    /// Wrap every stage call in containment: a throw fails the DocOutcome
-    /// instead of the process, the poison tracker and health accounting
-    /// run. Off restores the seed's die-on-throw behaviour (the bench
-    /// baseline for the containment-overhead comparison).
-    bool containment = true;
     /// Batch deadline in milliseconds (0 = none). A batch whose barrier has
     /// not released by then is failed by the watchdog: unprocessed slots get
     /// DeadlineExceeded outcomes and the stuck shards are quarantined. A
@@ -458,13 +451,12 @@ class IngestPipeline {
     /// A worker whose last frame is older than this is SIGKILLed by the
     /// heartbeat thread (0 disables; batch deadlines still apply).
     uint32_t worker_heartbeat_timeout_ms = 5000;
-    /// Bound on worker command round-trips (handshake, subscription
-    /// broadcast acks, checkpoints) and on slot writes into a full socket
-    /// buffer.
-    uint32_t worker_command_timeout_ms = 10000;
   };
 
-  explicit IngestPipeline(const Options& options);
+  /// `classifier` is the domain classifier every shard's warehouse shares
+  /// (owner outlives the pipeline).
+  IngestPipeline(const Options& options,
+                 const warehouse::DomainClassifier* classifier);
   ~IngestPipeline();
 
   IngestPipeline(const IngestPipeline&) = delete;
@@ -505,8 +497,8 @@ class IngestPipeline {
   /// the owning shards, gather + deliver to `sink` in submission order once
   /// every slot is accounted for. Blocks until every outcome is delivered
   /// (or, with a batch deadline configured, until the watchdog fails the
-  /// stragglers). The scatter fails a slot whose URL is poisoned
-  /// (containment on) or whose shard is quarantined (always). `outcomes_out`,
+  /// stragglers). The scatter fails a slot whose URL is poisoned or whose
+  /// shard is quarantined. `outcomes_out`,
   /// if non-null, receives the per-slot outcomes (delivery may have
   /// consumed payload strings; `status` and the flags are intact).
   void ProcessBatch(std::vector<DocJob>&& jobs, Timestamp now,
@@ -643,6 +635,7 @@ class IngestPipeline {
                              const std::vector<DocOutcome>& outcomes);
 
   Options options_;
+  const warehouse::DomainClassifier* classifier_;
   const NotifyResolver* resolver_ = nullptr;
   std::function<Status(size_t)> restart_hook_;
   storage::StorageHub* hub_ = nullptr;

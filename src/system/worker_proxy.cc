@@ -13,6 +13,10 @@ namespace xymon::system {
 
 namespace {
 
+/// Bound on command round-trips (handshake, replay acks, checkpoints
+/// pending send) and on slot writes into a full socket buffer.
+constexpr uint32_t kCommandTimeoutMs = 10000;
+
 int64_t SteadyMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -21,7 +25,8 @@ int64_t SteadyMicros() {
 
 }  // namespace
 
-ShardWorkerProxy::ShardWorkerProxy(size_t shard_index, const Options& options,
+ShardWorkerProxy::ShardWorkerProxy(size_t shard_index,
+                                   const IngestPipeline::Options& options,
                                    Supervision supervision)
     : shard_index_(shard_index),
       options_(options),
@@ -30,14 +35,14 @@ ShardWorkerProxy::ShardWorkerProxy(size_t shard_index, const Options& options,
 ShardWorkerProxy::~ShardWorkerProxy() { Shutdown(); }
 
 Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
-  std::string binary = options_.binary;
+  std::string binary = options_.worker_binary;
   if (binary.empty()) {
     const char* env = std::getenv("XYMON_WORKER_BIN");
     if (env != nullptr) binary = env;
   }
   if (binary.empty()) {
     return Status::InvalidArgument(
-        "worker proxy: no worker binary (Options::binary or "
+        "worker proxy: no worker binary (Options::worker_binary or "
         "$XYMON_WORKER_BIN)");
   }
   ipc::InstallSigpipeIgnore();
@@ -78,10 +83,10 @@ Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
 
   // Versioned handshake before any state: Hello out, HelloAck back, both
   // bounded — a worker that never answers is killed here, not waited on.
-  Status s = ipc::WriteFrame(sv[0], hello.Encode(), options_.command_timeout_ms);
+  Status s = ipc::WriteFrame(sv[0], hello.Encode(), kCommandTimeoutMs);
   if (!s.ok()) return abort_spawn(std::move(s));
   std::string payload;
-  s = ipc::ReadFrame(sv[0], &payload, options_.command_timeout_ms);
+  s = ipc::ReadFrame(sv[0], &payload, kCommandTimeoutMs);
   if (!s.ok()) return abort_spawn(std::move(s));
   ipc::MsgType type;
   if (!ipc::PeekType(payload, &type) || type != ipc::MsgType::kHelloAck) {
@@ -119,7 +124,7 @@ Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
     last_rx_us_ = SteadyMicros();  // the HelloAck was a frame
   }
   reader_ = std::thread(&ShardWorkerProxy::ReaderLoop, this);
-  if (options_.heartbeat_interval_ms > 0) {
+  if (options_.worker_heartbeat_interval_ms > 0) {
     heartbeat_ = std::thread(&ShardWorkerProxy::HeartbeatLoop, this);
   }
   return Status::OK();
@@ -148,7 +153,7 @@ Status ShardWorkerProxy::Command(uint64_t seq, const std::string& payload) {
     if (dead_ || !spawned_) return Status::Unavailable("worker down");
     waiting_acks_.insert(seq);
   }
-  Status s = WriteFrameLocked(payload, options_.command_timeout_ms);
+  Status s = WriteFrameLocked(payload, kCommandTimeoutMs);
   std::unique_lock<std::mutex> lock(mutex_);
   if (!s.ok()) {
     waiting_acks_.erase(seq);
@@ -156,7 +161,7 @@ Status ShardWorkerProxy::Command(uint64_t seq, const std::string& payload) {
     return s;
   }
   bool arrived = cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.command_timeout_ms),
+      lock, std::chrono::milliseconds(kCommandTimeoutMs),
       [&] { return dead_ || acks_.count(seq) > 0; });
   waiting_acks_.erase(seq);
   auto it = acks_.find(seq);
@@ -199,7 +204,7 @@ Status ShardWorkerProxy::SendSlot(const std::shared_ptr<BatchState>& state,
   msg.now = now;
   msg.url = job.url;
   msg.body = job.body;
-  Status s = WriteFrameLocked(msg.Encode(), options_.command_timeout_ms);
+  Status s = WriteFrameLocked(msg.Encode(), kCommandTimeoutMs);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     outstanding_.erase(slot);
@@ -218,7 +223,7 @@ Status ShardWorkerProxy::SendCheckpoint(
   }
   ipc::CheckpointMsg msg;
   msg.seq = seq;
-  Status s = WriteFrameLocked(msg.Encode(), options_.command_timeout_ms);
+  Status s = WriteFrameLocked(msg.Encode(), kCommandTimeoutMs);
   if (!s.ok()) {
     std::lock_guard<std::mutex> lock(mutex_);
     checkpoints_.erase(seq);
@@ -238,7 +243,7 @@ Result<ipc::DomainDocsMsg> ShardWorkerProxy::QueryDomain(
   ipc::QueryDomainMsg msg;
   msg.seq = seq;
   msg.domain = domain;
-  Status s = WriteFrameLocked(msg.Encode(), options_.command_timeout_ms);
+  Status s = WriteFrameLocked(msg.Encode(), kCommandTimeoutMs);
   std::unique_lock<std::mutex> lock(mutex_);
   if (!s.ok()) {
     waiting_domains_.erase(seq);
@@ -246,7 +251,7 @@ Result<ipc::DomainDocsMsg> ShardWorkerProxy::QueryDomain(
     return s;
   }
   bool arrived = cv_.wait_for(
-      lock, std::chrono::milliseconds(options_.command_timeout_ms),
+      lock, std::chrono::milliseconds(kCommandTimeoutMs),
       [&] { return dead_ || domain_results_.count(seq) > 0; });
   waiting_domains_.erase(seq);
   auto it = domain_results_.find(seq);
@@ -575,7 +580,7 @@ void ShardWorkerProxy::ReaderLoop() {
         // The worker blocks on this answer mid-slot; an unresponsive write
         // here means the worker is doomed anyway — the heartbeat reaps it.
         Status write_status =
-            WriteFrameLocked(resp.Encode(), options_.command_timeout_ms);
+            WriteFrameLocked(resp.Encode(), kCommandTimeoutMs);
         (void)write_status;
         break;
       }
@@ -590,17 +595,18 @@ void ShardWorkerProxy::ReaderLoop() {
 }
 
 void ShardWorkerProxy::HeartbeatLoop() {
+  const uint32_t interval_ms = options_.worker_heartbeat_interval_ms;
+  const int64_t timeout_ms = options_.worker_heartbeat_timeout_ms;
   for (;;) {
     uint64_t token;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait_for(lock,
-                   std::chrono::milliseconds(options_.heartbeat_interval_ms),
+      cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
                    [this] { return stop_heartbeat_ || dead_; });
       if (stop_heartbeat_ || dead_) return;
-      if (options_.heartbeat_timeout_ms > 0 && last_rx_us_ >= 0) {
+      if (timeout_ms > 0 && last_rx_us_ >= 0) {
         int64_t age_ms = (SteadyMicros() - last_rx_us_) / 1000;
-        if (age_ms > static_cast<int64_t>(options_.heartbeat_timeout_ms)) {
+        if (age_ms > timeout_ms) {
           // Wedged: no frame for a full timeout despite the pings below.
           // SIGKILL turns the wedge into an EOF; the reader runs the death
           // path (shutdown on the socket makes its blocking read return).
@@ -614,8 +620,7 @@ void ShardWorkerProxy::HeartbeatLoop() {
     ipc::PingMsg ping;
     ping.token = token;
     // Failure is the reader's signal, not ours.
-    Status ping_status =
-        WriteFrameLocked(ping.Encode(), options_.heartbeat_interval_ms);
+    Status ping_status = WriteFrameLocked(ping.Encode(), interval_ms);
     (void)ping_status;
   }
 }

@@ -47,18 +47,6 @@ namespace xymon::system {
 /// as RestartShard (no batch in flight, single caller).
 class ShardWorkerProxy {
  public:
-  struct Options {
-    /// Worker executable; "" falls back to $XYMON_WORKER_BIN.
-    std::string binary;
-    uint32_t heartbeat_interval_ms = 500;
-    /// Worker is SIGKILLed when its last frame is older than this
-    /// (0 disables the wedge detector; batch deadlines still apply).
-    uint32_t heartbeat_timeout_ms = 5000;
-    /// Bound on command round-trips (handshake, replay acks, checkpoints
-    /// pending send) and on slot writes into a full socket buffer.
-    uint32_t command_timeout_ms = 10000;
-  };
-
   /// Callbacks into the owning pipeline.
   struct Supervision {
     /// Central DTDID assignment (the worker's registry RPCs through here).
@@ -69,7 +57,9 @@ class ShardWorkerProxy {
     std::function<void(size_t shard_index, const std::string& reason)> on_down;
   };
 
-  ShardWorkerProxy(size_t shard_index, const Options& options,
+  /// Reads the worker binary and heartbeat knobs from the owning
+  /// pipeline's `options`, which must outlive the proxy.
+  ShardWorkerProxy(size_t shard_index, const IngestPipeline::Options& options,
                    Supervision supervision);
   ~ShardWorkerProxy();
 
@@ -89,7 +79,7 @@ class ShardWorkerProxy {
   Status Command(uint64_t seq, const std::string& payload);
 
   /// Scatters one slot of `state` to the worker. The write is bounded by
-  /// command_timeout_ms — a wedged worker with a full socket buffer yields
+  /// the command timeout — a wedged worker with a full socket buffer yields
   /// DeadlineExceeded here instead of blocking the scatter thread. On any
   /// error the slot is NOT accounted: the caller fails it.
   Status SendSlot(const std::shared_ptr<BatchState>& state, uint64_t batch_seq,
@@ -150,7 +140,7 @@ class ShardWorkerProxy {
   void JoinThreads();
 
   const size_t shard_index_;
-  const Options options_;
+  const IngestPipeline::Options& options_;
   const Supervision supervision_;
 
   mutable std::mutex mutex_;

@@ -6,6 +6,7 @@
 #include "src/alerters/html_alerter.h"
 #include "src/alerters/pipeline.h"
 #include "src/alerters/prefix_matcher.h"
+#include "src/alerters/trie_prefix_matcher.h"
 #include "src/alerters/url_alerter.h"
 #include "src/alerters/xml_alerter.h"
 #include "src/common/rng.h"
@@ -264,17 +265,6 @@ TEST_F(UrlAlerterTest, RejectsContentConditions) {
   c.kind = ConditionKind::kElementChange;
   c.tag = "p";
   EXPECT_TRUE(alerter_.Register(1, c).IsInvalidArgument());
-}
-
-TEST_F(UrlAlerterTest, TrieBackendBehavesTheSame) {
-  UrlAlerter trie_alerter(UrlAlerter::Options{true});
-  ASSERT_TRUE(trie_alerter
-                  .Register(1, Cond(ConditionKind::kUrlExtends,
-                                    "http://inria.fr/Xy/"))
-                  .ok());
-  std::vector<AtomicEvent> out;
-  trie_alerter.Detect(Meta(), &out);
-  EXPECT_EQ(out, (std::vector<AtomicEvent>{1}));
 }
 
 // -------------------------------------------------------------- XmlAlerter --

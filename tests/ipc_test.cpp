@@ -12,10 +12,11 @@
 //      continuous query over the remote document source) at shard_mode =
 //      process with 2 and 4 workers delivers bit-for-bit the inline
 //      1-shard mail, with the same MQP tree shape and document count.
-//   4. Containment — SIGKILL at every batch boundary, a mid-batch wedge
-//      caught by the heartbeat, and a worker dying mid-write: workers are
-//      respawned from their storage partitions, no acked subscription is
-//      lost, and the supervisor never dies.
+//   4. Containment — a stage throw inside a worker fails only its slot;
+//      SIGKILL at every batch boundary, a mid-batch wedge caught by the
+//      heartbeat, and a worker dying mid-write: workers are respawned from
+//      their storage partitions, no acked subscription is lost, and the
+//      supervisor never dies.
 //
 // Wall-clock bounds scale with XYMON_TEST_TIME_SCALE (tests/time_scale.h).
 
@@ -127,8 +128,6 @@ TEST(WireMessageTest, HelloRoundtripsWithFaultPlan) {
   ipc::HelloMsg msg;
   msg.shard_index = 3;
   msg.num_shards = 4;
-  msg.use_trie_prefixes = 1;
-  msg.containment = 0;
   msg.max_parse_failures = 7;
   msg.faults.push_back({2, 1, 5, 1500, "http://w0.example/doc.xml"});
   msg.faults.push_back({1, 3, 1, 0, "http://w1.example/x.xml"});
@@ -145,8 +144,6 @@ TEST(WireMessageTest, HelloRoundtripsWithFaultPlan) {
   EXPECT_EQ(got.version, ipc::kWireVersion);
   EXPECT_EQ(got.shard_index, 3u);
   EXPECT_EQ(got.num_shards, 4u);
-  EXPECT_EQ(got.use_trie_prefixes, 1);
-  EXPECT_EQ(got.containment, 0);
   EXPECT_EQ(got.max_parse_failures, 7u);
   ASSERT_EQ(got.faults.size(), 2u);
   EXPECT_EQ(got.faults[0].stage, 2);
@@ -304,7 +301,7 @@ TEST(WireCorruptionTest, EveryBitFlipIsRejected) {
 
 TEST(WireCorruptionTest, TruncationsAreRejectedAtEveryLength) {
   const std::string frame =
-      CaptureFrame(ipc::SubscribeMsg{1, 99, 1, "subscription S\n", "a@x"}
+      CaptureFrame(ipc::SubscribeMsg{1, 99, "subscription S\n", "a@x"}
                        .Encode());
   for (size_t len = 0; len < frame.size(); ++len) {
     Status st = ReadRawFrame(frame.substr(0, len));
@@ -341,12 +338,12 @@ TEST(WireCorruptionTest, SeededGarbageNeverCrashesTheFrameReader) {
 TEST(WireCorruptionTest, DecodersRejectTruncationAndSurviveBitFlips) {
   // One representative payload per message type (type byte first).
   const std::vector<std::string> payloads = {
-      ipc::HelloMsg{ipc::kWireMagic, ipc::kWireVersion, 1, 4, 1, 1, 3,
+      ipc::HelloMsg{ipc::kWireMagic, ipc::kWireVersion, 1, 4, 3,
                     {{2, 1, 5, 1500, "http://u"}}}
           .Encode(),
       ipc::HelloAckMsg{1, 1234}.Encode(),
       ipc::OpenPartitionMsg{1, "wh.part0", 1, 1 << 20}.Encode(),
-      ipc::SubscribeMsg{2, 99, 1, "subscription S\n", "a@x"}.Encode(),
+      ipc::SubscribeMsg{2, 99, "subscription S\n", "a@x"}.Encode(),
       ipc::UnsubscribeMsg{3, 99, "S"}.Encode(),
       ipc::DomainRuleMsg{4, "culture", "museum", "museum", "art"}.Encode(),
       ipc::CmdAckMsg{5, 0, ""}.Encode(),
@@ -734,7 +731,7 @@ TEST(ProcessModeTest, StatusReportListsWorkersOnlyInProcessMode) {
 
   // Thread mode keeps the historical report byte-exactly: no Worker rows.
   SimClock clock2(1000);
-  XylemeMonitor thread_monitor(&clock2, {});
+  XylemeMonitor thread_monitor(&clock2);
   EXPECT_EQ(thread_monitor.StatusReport().find("<Worker"),
             std::string::npos);
 }
@@ -746,6 +743,114 @@ TEST(ProcessModeTest, MissingWorkerBinaryFailsOpen) {
   options.worker_binary = "/nonexistent/xymon_shard_worker";
   auto monitor = XylemeMonitor::Open(&clock, options);
   EXPECT_FALSE(monitor.ok());
+}
+
+// ---------------------------------------------- containment in a worker --
+
+// Immediate-report subscription only: every mail carries one notification
+// naming one URL, so dropping a URL's mail from a stream is a substring test.
+constexpr char kWatchAll[] = R"(
+subscription WatchAll
+monitoring
+select default
+where URL extends "http://w" and modified self
+report when immediate
+)";
+
+struct ContainmentRun {
+  std::vector<std::string> mail;  // bodies, in sent order
+  uint64_t failed_documents = 0;
+  size_t faulty_shard = 0;
+  system::PipelineStats after_fault;  // right after round 2's batch
+  system::PipelineStats end;
+};
+
+/// Three rounds of 12 versioned pages in one batch each under kWatchAll.
+ContainmentRun RunContainmentWorkload(ShardMode mode, size_t shards,
+                                      StageFaultInjector* injector,
+                                      const std::string& faulty,
+                                      const std::string& dir) {
+  ContainmentRun out;
+  SimClock clock(1000);
+  XylemeMonitor::Options options = IpcOptions(mode, shards, dir);
+  options.stage_faults = injector;
+  auto monitor = XylemeMonitor::Open(&clock, options);
+  EXPECT_TRUE(monitor.ok()) << monitor.status().ToString();
+  if (!monitor.ok()) return out;
+  EXPECT_TRUE((*monitor)->Subscribe(kWatchAll, "all@x").ok());
+  out.faulty_shard = (*monitor)->pipeline().ShardFor(faulty);
+
+  for (int round = 1; round <= 3; ++round) {
+    std::vector<webstub::FetchedDoc> batch;
+    for (int j = 0; j < 12; ++j) {
+      batch.push_back({testing::SweepUrl(j), testing::SweepBody(j, round)});
+    }
+    (*monitor)->ProcessFetchBatch(batch);
+    if (round == 2) out.after_fault = (*monitor)->pipeline_stats();
+    clock.Advance(kDay);
+    (*monitor)->Tick();
+  }
+  for (const reporter::Email& email : (*monitor)->outbox().sent()) {
+    out.mail.push_back(email.body);
+  }
+  out.failed_documents = (*monitor)->stats().failed_documents;
+  out.end = (*monitor)->pipeline_stats();
+  return out;
+}
+
+// A stage that throws inside a worker process fails only its slot: the
+// worker stays up, its shard degrades, and every other document's mail is
+// bit for bit a fault-free single-shard thread run's.
+TEST(ProcessContainmentTest, DetectThrowInAWorkerFailsOnlyItsSlot) {
+  const std::string faulty = testing::SweepUrl(0);
+  // Detect call #1 (version 1 is `new`) passes; #2 throws in round 2.
+  StageFaultInjector injector(StageFaultPlan{
+      {{StageKind::kDetect, faulty, 2, StageFaultKind::kThrow}}});
+  TempDir dir("contain_p2");
+  ContainmentRun run = RunContainmentWorkload(ShardMode::kProcess, 2,
+                                              &injector, faulty, dir.path);
+  TempDir clean_dir("contain_clean");
+  ContainmentRun clean = RunContainmentWorkload(ShardMode::kThread, 1,
+                                                nullptr, faulty,
+                                                clean_dir.path);
+  ASSERT_FALSE(clean.mail.empty());
+
+  // Exactly one slot failed, on a stage (not a deadline, poison or
+  // shard-down verdict), and the worker survived it.
+  EXPECT_EQ(run.failed_documents, 1u);
+  EXPECT_EQ(run.end.stage_failures, 1u);
+  EXPECT_EQ(run.end.deadline_exceeded, 0u);
+  EXPECT_EQ(run.end.poison_rejections, 0u);
+  EXPECT_EQ(run.end.worker_crashes, 0u);
+  EXPECT_EQ(run.end.worker_respawns, 0u);
+  // The monitor does not hand out per-slot outcomes; the stage counters pin
+  // the failed stage to detect: the slot entered detect and never reached
+  // match or notify, which the fault-free run's copy of it did.
+  EXPECT_EQ(run.end.ingest.documents, clean.end.ingest.documents);
+  EXPECT_EQ(run.end.detect.documents, clean.end.detect.documents);
+  EXPECT_EQ(run.end.match.documents + 1, clean.end.match.documents);
+  EXPECT_EQ(run.end.notify.documents + 1, clean.end.notify.documents);
+
+  // Only the faulty URL's shard degraded.
+  ASSERT_EQ(run.after_fault.shard_status.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const system::ShardStatus& ss = run.after_fault.shard_status[i];
+    const bool faulty_shard = i == run.faulty_shard;
+    EXPECT_EQ(ss.stage_failures, faulty_shard ? 1u : 0u) << "shard " << i;
+    EXPECT_EQ(ss.health, faulty_shard ? system::ShardHealth::kDegraded
+                                      : system::ShardHealth::kHealthy)
+        << "shard " << i;
+  }
+
+  // The failed slot's notification is the only mail missing.
+  auto without_faulty = [&faulty](std::vector<std::string> mail) {
+    std::erase_if(mail, [&faulty](const std::string& body) {
+      return body.find(faulty) != std::string::npos;
+    });
+    return mail;
+  };
+  EXPECT_EQ(run.mail.size() + 1, clean.mail.size());
+  EXPECT_EQ(without_faulty(run.mail), without_faulty(clean.mail));
 }
 
 // ------------------------------------------------------------- kill sweep --

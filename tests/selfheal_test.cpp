@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -228,20 +227,6 @@ TEST(ContainmentTest, ThrownStageFailsOnlyItsDocument) {
   EXPECT_EQ(monitor.stats().notifications, 4u);
 }
 
-TEST(ContainmentTest, ContainmentOffRestoresDieOnThrow) {
-  const std::string faulty = "http://w1.example.org/bad.xml";
-  StageFaultInjector injector(
-      StageFaultPlan{{{StageKind::kIngest, faulty, 1, StageFaultKind::kThrow}}});
-  SimClock clock(1000);
-  XylemeMonitor::Options options;
-  options.stage_faults = &injector;
-  options.fault_containment = false;
-  XylemeMonitor monitor(&clock, options);
-  // 1-shard pipelines run inline on the caller thread, so the uncontained
-  // exception propagates out of ProcessFetch — the seed's behaviour.
-  EXPECT_THROW(monitor.ProcessFetch(faulty, "<p>v1</p>"), std::runtime_error);
-}
-
 // --------------------------------------------------------- poison tracker --
 
 TEST(PoisonTest, RepeatOffenderIsQuarantinedAndRestartClearsIt) {
@@ -407,28 +392,16 @@ TEST(WatchdogTest, StuckShardIsQuarantinedRestartedAndRebuiltFromStorage) {
 
 // ------------------------------------------ failed restart → quarantined --
 
-struct RestartFailureCase {
-  size_t shards;
-  bool containment;
-};
-
-void PrintTo(const RestartFailureCase& c, std::ostream* os) {
-  *os << c.shards << " shard(s), containment "
-      << (c.containment ? "on" : "off");
-}
-
-class RestartFailureTest : public ::testing::TestWithParam<RestartFailureCase> {
-};
+class RestartFailureTest : public ::testing::TestWithParam<size_t> {};
 
 // A restart whose storage reopen fails must end with the shard quarantined,
-// on every substrate and with containment on or off: the scatter fails its
-// slots (the shard has no worker thread and no store attached), a
-// checkpoint does not report its partition durable, and the owner sees it
-// through has_unhealthy_shards() and retries. Once the fault clears, the
-// retry rebuilds the shard from its partition and the flow is bit-for-bit
-// the never-faulted run's.
+// on every substrate: the scatter fails its slots (the shard has no worker
+// thread and no store attached), a checkpoint does not report its partition
+// durable, and the owner sees it through has_unhealthy_shards() and
+// retries. Once the fault clears, the retry rebuilds the shard from its
+// partition and the flow is bit-for-bit the never-faulted run's.
 TEST_P(RestartFailureTest, FailedReopenQuarantinesAndRetryHealsFromStorage) {
-  const RestartFailureCase param = GetParam();
+  const size_t shards = GetParam();
   auto batches = MakeWorkload(/*rounds=*/3, /*urls=*/10);
   const std::string victim = batches[0][0].url;
 
@@ -442,10 +415,9 @@ TEST_P(RestartFailureTest, FailedReopenQuarantinesAndRetryHealsFromStorage) {
     storage::MemEnv mem;
     storage::FaultyEnv env(&mem);
     XylemeMonitor::Options options;
-    options.num_shards = param.shards;
+    options.num_shards = shards;
     options.warehouse_path = "mon/wh";
     options.env = &env;
-    options.fault_containment = param.containment;
     options.auto_restart_shards = false;
     auto opened = XylemeMonitor::Open(&clock, options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -525,13 +497,9 @@ TEST_P(RestartFailureTest, FailedReopenQuarantinesAndRetryHealsFromStorage) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Substrates, RestartFailureTest,
-    ::testing::Values(RestartFailureCase{1, true}, RestartFailureCase{4, true},
-                      RestartFailureCase{1, false},
-                      RestartFailureCase{4, false}),
-    [](const ::testing::TestParamInfo<RestartFailureCase>& info) {
-      return std::to_string(info.param.shards) + "Shards" +
-             (info.param.containment ? "ContainmentOn" : "ContainmentOff");
+    Substrates, RestartFailureTest, ::testing::Values(size_t{1}, size_t{4}),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return std::to_string(info.param) + "Shards";
     });
 
 // ----------------------------------------------------------- backpressure --
