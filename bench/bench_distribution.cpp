@@ -14,7 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "src/mqp/aes_matcher.h"
-#include "src/mqp/processor.h"
+#include "src/mqp/partitioned_matcher.h"
 
 using xymon::bench::FillMatcher;
 using xymon::bench::MatchMicrosPerDoc;

@@ -53,8 +53,7 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kHello: return "Hello";
     case MsgType::kHelloAck: return "HelloAck";
     case MsgType::kOpenPartition: return "OpenPartition";
-    case MsgType::kSubscribe: return "Subscribe";
-    case MsgType::kUnsubscribe: return "Unsubscribe";
+    case MsgType::kReplicaOp: return "ReplicaOp";
     case MsgType::kDomainRule: return "DomainRule";
     case MsgType::kCmdAck: return "CmdAck";
     case MsgType::kSlot: return "Slot";
@@ -227,40 +226,115 @@ Status OpenPartitionMsg::Decode(std::string_view body, OpenPartitionMsg* out) {
   return Status::OK();
 }
 
-std::string SubscribeMsg::Encode() const {
+namespace {
+
+// Enums and flags travel as one byte; decoding rejects a byte past `max`.
+bool EnumU8(WireReader* r, uint8_t max, uint8_t* out) {
+  return r->U8(out) && *out <= max;
+}
+
+void EncodeCondition(WireWriter* w, const alerters::Condition& c) {
+  w->U8(static_cast<uint8_t>(c.kind));
+  w->Str(c.str_value);
+  w->U64(c.num_value);
+  w->I64(c.date_value);
+  w->U8(static_cast<uint8_t>(c.cmp));
+  w->U8(static_cast<uint8_t>(c.status));
+  w->U8(c.change_op.has_value() ? 1 + static_cast<uint8_t>(*c.change_op) : 0);
+  w->Str(c.tag);
+  w->Str(c.word);
+  w->U8(c.strict ? 1 : 0);
+}
+
+bool DecodeCondition(WireReader* r, alerters::Condition* c) {
+  using alerters::ConditionKind;
+  uint8_t kind, cmp, status, op, strict;
+  if (!EnumU8(r, static_cast<uint8_t>(ConditionKind::kElementChange), &kind) ||
+      !r->Str(&c->str_value) || !r->U64(&c->num_value) ||
+      !r->I64(&c->date_value) ||
+      !EnumU8(r, static_cast<uint8_t>(alerters::Comparator::kGt), &cmp) ||
+      !EnumU8(r, static_cast<uint8_t>(warehouse::DocStatus::kDeleted),
+              &status) ||
+      !EnumU8(r, 1 + static_cast<uint8_t>(xmldiff::ChangeOp::kDeleted), &op) ||
+      !r->Str(&c->tag) || !r->Str(&c->word) || !EnumU8(r, 1, &strict)) {
+    return false;
+  }
+  c->kind = static_cast<ConditionKind>(kind);
+  c->cmp = static_cast<alerters::Comparator>(cmp);
+  c->status = static_cast<warehouse::DocStatus>(status);
+  c->change_op.reset();
+  if (op != 0) c->change_op = static_cast<xmldiff::ChangeOp>(op - 1);
+  c->strict = strict != 0;
+  return true;
+}
+
+}  // namespace
+
+std::string ReplicaOpMsg::Encode() const {
   WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kSubscribe));
+  w.U8(static_cast<uint8_t>(MsgType::kReplicaOp));
   w.U64(seq);
-  w.I64(now);
-  w.Str(text);
-  w.Str(email);
+  w.U8(static_cast<uint8_t>(op));
+  w.U32(id);
+  EncodeCondition(&w, condition);
+  w.U32(static_cast<uint32_t>(events.size()));
+  for (mqp::AtomicEvent e : events) w.U32(e);
+  w.Str(binding.subscription);
+  w.Str(binding.query_name);
+  w.U8(static_cast<uint8_t>(binding.select.kind));
+  w.Str(binding.select.template_xml);
+  w.Str(binding.select.variable);
+  const sublang::MonitoringFrom from = binding.from.value_or(
+      sublang::MonitoringFrom{});
+  w.U8(binding.from.has_value() ? 1 : 0);
+  w.Str(from.var);
+  w.Str(from.tag);
+  w.U8(from.descendant ? 1 : 0);
+  w.U32(static_cast<uint32_t>(binding.conditions.size()));
+  for (const alerters::Condition& c : binding.conditions) {
+    EncodeCondition(&w, c);
+  }
   return w.Take();
 }
 
-Status SubscribeMsg::Decode(std::string_view body, SubscribeMsg* out) {
+Status ReplicaOpMsg::Decode(std::string_view body, ReplicaOpMsg* out) {
   WireReader r(body);
-  if (!r.U64(&out->seq) || !r.I64(&out->now) || !r.Str(&out->text) ||
-      !r.Str(&out->email) || !r.AtEnd()) {
-    return CorruptMsg("Subscribe");
+  manager::QueryBinding& b = out->binding;
+  sublang::MonitoringFrom from;
+  uint8_t op, select_kind, has_from, descendant;
+  uint32_t events = 0, conditions = 0;
+  if (!r.U64(&out->seq) ||
+      !EnumU8(&r, static_cast<uint8_t>(Op::kUnregisterComplex), &op) ||
+      !r.U32(&out->id) || !DecodeCondition(&r, &out->condition) ||
+      !r.U32(&events)) {
+    return CorruptMsg("ReplicaOp");
   }
-  return Status::OK();
-}
-
-std::string UnsubscribeMsg::Encode() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(MsgType::kUnsubscribe));
-  w.U64(seq);
-  w.I64(now);
-  w.Str(name);
-  return w.Take();
-}
-
-Status UnsubscribeMsg::Decode(std::string_view body, UnsubscribeMsg* out) {
-  WireReader r(body);
-  if (!r.U64(&out->seq) || !r.I64(&out->now) || !r.Str(&out->name) ||
-      !r.AtEnd()) {
-    return CorruptMsg("Unsubscribe");
+  // Counts are never reserved up front: a corrupt one runs out of bytes
+  // instead of driving an allocation.
+  out->events.clear();
+  for (uint32_t i = 0; i < events; ++i) {
+    if (!r.U32(&out->events.emplace_back())) return CorruptMsg("ReplicaOp");
   }
+  if (!r.Str(&b.subscription) || !r.Str(&b.query_name) ||
+      !EnumU8(&r, static_cast<uint8_t>(sublang::SelectClause::Kind::kVariable),
+              &select_kind) ||
+      !r.Str(&b.select.template_xml) || !r.Str(&b.select.variable) ||
+      !EnumU8(&r, 1, &has_from) || !r.Str(&from.var) || !r.Str(&from.tag) ||
+      !EnumU8(&r, 1, &descendant) || !r.U32(&conditions)) {
+    return CorruptMsg("ReplicaOp binding");
+  }
+  b.conditions.clear();
+  for (uint32_t i = 0; i < conditions; ++i) {
+    if (!DecodeCondition(&r, &b.conditions.emplace_back())) {
+      return CorruptMsg("ReplicaOp binding");
+    }
+  }
+  if (!r.AtEnd()) return CorruptMsg("ReplicaOp (trailing bytes)");
+  out->op = static_cast<Op>(op);
+  b.select.kind = static_cast<sublang::SelectClause::Kind>(select_kind);
+  from.descendant = descendant != 0;
+  b.from.reset();
+  if (has_from != 0) b.from = std::move(from);
   return Status::OK();
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/manager/replica.h"
 
 namespace xymon::ipc {
 
@@ -34,7 +35,7 @@ namespace xymon::ipc {
 
 /// "XYMW" — first field of the handshake frame.
 inline constexpr uint32_t kWireMagic = 0x58594D57;
-inline constexpr uint32_t kWireVersion = 2;
+inline constexpr uint32_t kWireVersion = 3;
 /// Frame-length cap, mirroring storage::kMaxLogRecordLen: a corrupt length
 /// field cannot drive an unbounded allocation.
 inline constexpr uint32_t kMaxFrameLen = 64u << 20;  // 64 MiB
@@ -45,21 +46,20 @@ enum class MsgType : uint8_t {
   kHello = 1,        // sup → wrk: versioned handshake + shard config
   kHelloAck = 2,     // wrk → sup: version + pid
   kOpenPartition = 3,  // sup → wrk: attach the shard's storage partition
-  kSubscribe = 4,    // sup → wrk: subscription replay (register)
-  kUnsubscribe = 5,  // sup → wrk: subscription replay (unregister)
-  kDomainRule = 6,   // sup → wrk: domain-classifier rule replay
-  kCmdAck = 7,       // wrk → sup: ack for the four commands above
-  kSlot = 8,         // sup → wrk: one scattered batch slot
-  kSlotResult = 9,   // wrk → sup: the slot's DocOutcome + stage counters
-  kCheckpoint = 10,  // sup → wrk: checkpoint marker (batch boundary)
-  kCheckpointDone = 11,  // wrk → sup: partition checkpoint finished
-  kPing = 12,        // sup → wrk: heartbeat probe
-  kPong = 13,        // wrk → sup: heartbeat answer (+ document count)
-  kQueryDomain = 14,  // sup → wrk: continuous-query collection request
-  kDomainDocs = 15,  // wrk → sup: the partition's documents in a domain
-  kDtdIdReq = 16,    // wrk → sup: global DTDID assignment request
-  kDtdIdResp = 17,   // sup → wrk: the assigned id
-  kShutdown = 18,    // sup → wrk: clean exit request
+  kReplicaOp = 4,    // sup → wrk: one detection-replica operation
+  kDomainRule = 5,   // sup → wrk: domain-classifier rule
+  kCmdAck = 6,       // wrk → sup: ack for the three commands above
+  kSlot = 7,         // sup → wrk: one scattered batch slot
+  kSlotResult = 8,   // wrk → sup: the slot's DocOutcome + stage counters
+  kCheckpoint = 9,   // sup → wrk: checkpoint marker (batch boundary)
+  kCheckpointDone = 10,  // wrk → sup: partition checkpoint finished
+  kPing = 11,        // sup → wrk: heartbeat probe
+  kPong = 12,        // wrk → sup: heartbeat answer (+ document count)
+  kQueryDomain = 13,  // sup → wrk: continuous-query collection request
+  kDomainDocs = 14,  // wrk → sup: the partition's documents in a domain
+  kDtdIdReq = 15,    // wrk → sup: global DTDID assignment request
+  kDtdIdResp = 16,   // sup → wrk: the assigned id
+  kShutdown = 17,    // sup → wrk: clean exit request
 };
 
 const char* MsgTypeName(MsgType type);
@@ -150,23 +150,24 @@ struct OpenPartitionMsg {
   static Status Decode(std::string_view body, OpenPartitionMsg* out);
 };
 
-struct SubscribeMsg {
+/// One manager::DetectionReplica operation. Every field travels with every
+/// op; `id` is the atomic-event code or the complex-event id.
+struct ReplicaOpMsg {
+  enum class Op : uint8_t {
+    kRegisterCondition,
+    kUnregisterCondition,
+    kRegisterComplex,
+    kUnregisterComplex,
+  };
   uint64_t seq = 0;
-  int64_t now = 0;
-  std::string text;
-  std::string email;
+  Op op = Op::kRegisterCondition;
+  uint32_t id = 0;
+  alerters::Condition condition{};
+  mqp::EventSet events{};
+  manager::QueryBinding binding{};
 
   std::string Encode() const;
-  static Status Decode(std::string_view body, SubscribeMsg* out);
-};
-
-struct UnsubscribeMsg {
-  uint64_t seq = 0;
-  int64_t now = 0;
-  std::string name;
-
-  std::string Encode() const;
-  static Status Decode(std::string_view body, UnsubscribeMsg* out);
+  static Status Decode(std::string_view body, ReplicaOpMsg* out);
 };
 
 struct DomainRuleMsg {

@@ -1,8 +1,9 @@
 // Shard worker process (DESIGN.md §14): one PipelineShard behind a framed
 // socketpair. The supervisor (ShardWorkerProxy) forked us with the wire fd
 // dup'd to 3 and passed as argv[1]; everything after the versioned handshake
-// is the stage-seam conversation — OpenPartition, subscription replay,
-// scattered slots, checkpoint markers, heartbeats, domain queries.
+// is the stage-seam conversation — OpenPartition, domain rules, replica
+// operations, scattered slots, checkpoint markers, heartbeats, domain
+// queries.
 //
 // The worker is deliberately single-threaded: slots arrive in scatter order
 // and are processed FIFO, so per-URL call order (what the poison tracker and
@@ -18,18 +19,15 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/ipc/wire.h"
-#include "src/manager/subscription_manager.h"
-#include "src/query/engine.h"
-#include "src/reporter/reporter.h"
+#include "src/manager/replica.h"
 #include "src/storage/persistent_map.h"
 #include "src/system/binding_resolver.h"
 #include "src/system/pipeline.h"
 #include "src/system/stage_faults.h"
-#include "src/trigger/trigger_engine.h"
 #include "src/warehouse/warehouse.h"
 #include "src/xml/serializer.h"
 
@@ -93,19 +91,15 @@ class RemoteDtdRegistry : public warehouse::DtdRegistry {
   std::deque<std::string>* pending_;
 };
 
-/// The worker's component stack — the same stack XylemeMonitor builds, minus
-/// everything that lives supervisor-side (outbox delivery, trigger firing,
-/// the crawler). The manager exists so subscription replay builds detection
-/// structures identical to a thread-mode shard's; the resolver is the shared
-/// stage-4a BindingResolver.
-class WorkerRuntime {
+/// The worker's component stack: one PipelineShard and the shared stage-4a
+/// BindingResolver. Everything else lives supervisor-side — the
+/// Subscription Manager chooses the codes and ids and sends each
+/// registration as a ReplicaOp, which the worker applies through the
+/// shard's LocalReplica exactly as a thread-mode shard receives it; the
+/// worker keeps only the bindings its resolver reads.
+class WorkerRuntime : public manager::BindingLookup {
  public:
-  WorkerRuntime(int fd, HelloMsg hello)
-      : fd_(fd),
-        hello_(std::move(hello)),
-        outbox_(reporter::Outbox::Options{0, true}),
-        query_engine_(nullptr),
-        reporter_(&outbox_, &query_engine_) {
+  WorkerRuntime(int fd, HelloMsg hello) : fd_(fd), hello_(std::move(hello)) {
     system::StageFaultPlan plan;
     for (const WireFault& f : hello_.faults) {
       system::StageFaultSpec spec;
@@ -132,17 +126,12 @@ class WorkerRuntime {
       shard_->match_stage = std::make_unique<system::FaultyMatchStage>(
           std::move(shard_->match_stage), &injector_);
     }
+  }
 
-    query_engine_ = query::QueryEngine(&shard_->warehouse);
-    manager::SubscriptionManager::Components components{
-        &shard_->mqp,          &shard_->url_alerter, &shard_->xml_alerter,
-        &shard_->html_alerter, &shard_->alert_pipeline,
-        &trigger_engine_,      &reporter_,           &query_engine_,
-        &clock_};
-    manager_ =
-        std::make_unique<manager::SubscriptionManager>(components);
-    resolver_ =
-        std::make_unique<system::BindingResolver>(manager_.get());
+  const manager::QueryBinding* FindBinding(
+      mqp::ComplexEventId id) const override {
+    auto it = bindings_.find(id);
+    return it == bindings_.end() ? nullptr : &it->second;
   }
 
   int Run() {
@@ -162,11 +151,8 @@ class WorkerRuntime {
         case MsgType::kOpenPartition:
           HandleOpenPartition(body);
           break;
-        case MsgType::kSubscribe:
-          HandleSubscribe(body);
-          break;
-        case MsgType::kUnsubscribe:
-          HandleUnsubscribe(body);
+        case MsgType::kReplicaOp:
+          HandleReplicaOp(body);
           break;
         case MsgType::kDomainRule:
           HandleDomainRule(body);
@@ -226,21 +212,27 @@ class WorkerRuntime {
     Ack(msg.seq, shard_->warehouse.AttachStore(&*store_));
   }
 
-  void HandleSubscribe(std::string_view body) {
-    auto msg = DecodeOrDie<SubscribeMsg>(body);
-    clock_.Set(msg.now);
-    // The supervisor already validated, priced and logged the subscription;
-    // the replay is forced-privileged so this replica accepts exactly what
-    // the primary accepted.
-    Result<std::string> result =
-        manager_->ReplaySubscribe(msg.text, msg.email);
-    Ack(msg.seq, result.ok() ? Status::OK() : result.status());
-  }
-
-  void HandleUnsubscribe(std::string_view body) {
-    auto msg = DecodeOrDie<UnsubscribeMsg>(body);
-    clock_.Set(msg.now);
-    Ack(msg.seq, manager_->Unsubscribe(msg.name));
+  void HandleReplicaOp(std::string_view body) {
+    auto msg = DecodeOrDie<ReplicaOpMsg>(body);
+    manager::LocalReplica& replica = shard_->replica;
+    Status status;
+    switch (msg.op) {
+      case ReplicaOpMsg::Op::kRegisterCondition:
+        status = replica.RegisterCondition(msg.id, msg.condition);
+        break;
+      case ReplicaOpMsg::Op::kUnregisterCondition:
+        replica.UnregisterCondition(msg.id, msg.condition);
+        break;
+      case ReplicaOpMsg::Op::kRegisterComplex:
+        status = replica.RegisterComplex(msg.id, msg.events, msg.binding);
+        if (status.ok()) bindings_[msg.id] = std::move(msg.binding);
+        break;
+      case ReplicaOpMsg::Op::kUnregisterComplex:
+        replica.UnregisterComplex(msg.id);
+        bindings_.erase(msg.id);
+        break;
+    }
+    Ack(msg.seq, status);
   }
 
   void HandleDomainRule(std::string_view body) {
@@ -252,7 +244,6 @@ class WorkerRuntime {
 
   void HandleSlot(std::string_view body) {
     auto msg = DecodeOrDie<SlotMsg>(body);
-    clock_.Set(msg.now);
     system::DocJob job;
     job.url = std::move(msg.url);
     job.body = std::move(msg.body);
@@ -265,8 +256,8 @@ class WorkerRuntime {
     system::StageCounters before_notify = shard_->notify_counts;
 
     system::DocOutcome out;
-    system::ProcessDocJob(*shard_, job, msg.docid_hint, msg.now,
-                          resolver_.get(), &out);
+    system::ProcessDocJob(*shard_, job, msg.docid_hint, msg.now, &resolver_,
+                          &out);
 
     SlotResultMsg result;
     result.batch = msg.batch;
@@ -353,7 +344,6 @@ class WorkerRuntime {
 
   int fd_;
   HelloMsg hello_;
-  SimClock clock_;
   warehouse::DomainClassifier classifier_;
   system::StageFaultInjector injector_;
   /// Frames stashed by RemoteDtdRegistry while it waited for its answer.
@@ -361,12 +351,9 @@ class WorkerRuntime {
   std::unique_ptr<RemoteDtdRegistry> dtd_registry_;
   std::unique_ptr<system::PipelineShard> shard_;
   std::optional<storage::PersistentMap> store_;
-  reporter::Outbox outbox_;
-  trigger::TriggerEngine trigger_engine_;
-  query::QueryEngine query_engine_;
-  reporter::Reporter reporter_;
-  std::unique_ptr<manager::SubscriptionManager> manager_;
-  std::unique_ptr<system::BindingResolver> resolver_;
+  /// The binding of every registered complex event (what resolver_ reads).
+  std::unordered_map<mqp::ComplexEventId, manager::QueryBinding> bindings_;
+  system::BindingResolver resolver_{this};
 };
 
 int WorkerMain(int argc, char** argv) {

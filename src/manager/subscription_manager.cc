@@ -7,30 +7,7 @@
 #include "src/xml/serializer.h"
 
 namespace xymon::manager {
-namespace {
-
 using alerters::Condition;
-using alerters::ConditionKind;
-
-bool IsUrlAlerterCondition(ConditionKind kind) {
-  switch (kind) {
-    case ConditionKind::kUrlEquals:
-    case ConditionKind::kUrlExtends:
-    case ConditionKind::kFilenameEquals:
-    case ConditionKind::kDocIdEquals:
-    case ConditionKind::kDtdIdEquals:
-    case ConditionKind::kDtdUrlEquals:
-    case ConditionKind::kDomainEquals:
-    case ConditionKind::kLastAccessedCmp:
-    case ConditionKind::kLastUpdateCmp:
-    case ConditionKind::kDocStatus:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 Status SubscriptionManager::AttachStorage(
     const std::string& path, const storage::LogStore::Options& log_options) {
@@ -79,66 +56,14 @@ Result<std::string> SubscriptionManager::SubscribeAs(
                            user->privileged);
 }
 
-namespace {
-
-// Registers `condition` under `code` on one replica's alerters.
-Status RegisterOnReplica(mqp::AtomicEvent code, const Condition& condition,
-                         alerters::UrlAlerter* url, alerters::XmlAlerter* xml,
-                         alerters::HtmlAlerter* html,
-                         alerters::AlertPipeline* pipeline) {
-  if (IsUrlAlerterCondition(condition.kind)) {
-    XYMON_RETURN_IF_ERROR(url->Register(code, condition));
-  } else if (condition.kind == ConditionKind::kSelfContains) {
-    XYMON_RETURN_IF_ERROR(xml->Register(code, condition));
-    XYMON_RETURN_IF_ERROR(html->Register(code, condition));
-  } else {
-    XYMON_RETURN_IF_ERROR(xml->Register(code, condition));
-  }
-  if (condition.IsWeak() && pipeline != nullptr) {
-    pipeline->MarkWeak(code);
-  }
-  return Status::OK();
-}
-
-void UnregisterOnReplica(mqp::AtomicEvent code, const Condition& condition,
-                         alerters::UrlAlerter* url, alerters::XmlAlerter* xml,
-                         alerters::HtmlAlerter* html,
-                         alerters::AlertPipeline* pipeline) {
-  if (IsUrlAlerterCondition(condition.kind)) {
-    (void)url->Unregister(code, condition);
-  } else if (condition.kind == ConditionKind::kSelfContains) {
-    (void)xml->Unregister(code, condition);
-    (void)html->Unregister(code, condition);
-  } else {
-    (void)xml->Unregister(code, condition);
-  }
-  if (pipeline != nullptr) {
-    pipeline->UnmarkWeak(code);
-  }
-}
-
-}  // namespace
-
 Status SubscriptionManager::RegisterCondition(mqp::AtomicEvent code,
                                               const Condition& condition) {
-  // Primary first — it decides success (replicas are clones, so a condition
-  // the primary accepts cannot fail on them for a structural reason).
-  XYMON_RETURN_IF_ERROR(RegisterOnReplica(
-      code, condition, components_.url_alerter, components_.xml_alerter,
-      components_.html_alerter, components_.pipeline));
   for (size_t i = 0; i < components_.replicas.size(); ++i) {
-    const DetectionReplica& r = components_.replicas[i];
-    Status st = RegisterOnReplica(code, condition, r.url_alerter,
-                                  r.xml_alerter, r.html_alerter, r.pipeline);
+    Status st = components_.replicas[i]->RegisterCondition(code, condition);
     if (!st.ok()) {
       for (size_t j = 0; j < i; ++j) {
-        const DetectionReplica& rb = components_.replicas[j];
-        UnregisterOnReplica(code, condition, rb.url_alerter, rb.xml_alerter,
-                            rb.html_alerter, rb.pipeline);
+        components_.replicas[j]->UnregisterCondition(code, condition);
       }
-      UnregisterOnReplica(code, condition, components_.url_alerter,
-                          components_.xml_alerter, components_.html_alerter,
-                          components_.pipeline);
       return st;
     }
   }
@@ -147,83 +72,51 @@ Status SubscriptionManager::RegisterCondition(mqp::AtomicEvent code,
 
 void SubscriptionManager::UnregisterCondition(mqp::AtomicEvent code,
                                               const Condition& condition) {
-  UnregisterOnReplica(code, condition, components_.url_alerter,
-                      components_.xml_alerter, components_.html_alerter,
-                      components_.pipeline);
-  for (const DetectionReplica& r : components_.replicas) {
-    UnregisterOnReplica(code, condition, r.url_alerter, r.xml_alerter,
-                        r.html_alerter, r.pipeline);
+  for (DetectionReplica* replica : components_.replicas) {
+    replica->UnregisterCondition(code, condition);
   }
 }
 
 Status SubscriptionManager::RegisterComplex(mqp::ComplexEventId id,
-                                            const mqp::EventSet& events) {
-  XYMON_RETURN_IF_ERROR(components_.mqp->Register(id, events));
+                                            ComplexDef def) {
   for (size_t i = 0; i < components_.replicas.size(); ++i) {
-    Status st = components_.replicas[i].mqp->Register(id, events);
+    Status st =
+        components_.replicas[i]->RegisterComplex(id, def.events, def.binding);
     if (!st.ok()) {
       for (size_t j = 0; j < i; ++j) {
-        (void)components_.replicas[j].mqp->Unregister(id);
+        components_.replicas[j]->UnregisterComplex(id);
       }
-      (void)components_.mqp->Unregister(id);
       return st;
     }
   }
-  complex_defs_[id] = events;
+  complex_.emplace(id, std::move(def));
   return Status::OK();
 }
 
 void SubscriptionManager::UnregisterComplex(mqp::ComplexEventId id) {
-  (void)components_.mqp->Unregister(id);
-  for (const DetectionReplica& r : components_.replicas) {
-    (void)r.mqp->Unregister(id);
+  for (DetectionReplica* replica : components_.replicas) {
+    replica->UnregisterComplex(id);
   }
-  complex_defs_.erase(id);
+  complex_.erase(id);
 }
 
 Status SubscriptionManager::RebindReplica(size_t shard_index,
-                                          const DetectionReplica& replica) {
-  if (replica.mqp == nullptr || replica.url_alerter == nullptr ||
-      replica.xml_alerter == nullptr || replica.html_alerter == nullptr) {
-    return Status::InvalidArgument("RebindReplica: incomplete replica");
-  }
-  if (shard_index == 0) {
-    components_.mqp = replica.mqp;
-    components_.url_alerter = replica.url_alerter;
-    components_.xml_alerter = replica.xml_alerter;
-    components_.html_alerter = replica.html_alerter;
-    components_.pipeline = replica.pipeline;
-  } else if (shard_index - 1 < components_.replicas.size()) {
-    components_.replicas[shard_index - 1] = replica;
-  } else {
+                                          DetectionReplica* replica) {
+  if (replica == nullptr || shard_index >= components_.replicas.size()) {
     return Status::InvalidArgument("RebindReplica: no replica for shard " +
                                    std::to_string(shard_index));
   }
+  components_.replicas[shard_index] = replica;
 
-  // Replay every live registration into the fresh structures, in the order
-  // they were originally built (codes and complex ids are allocated
-  // monotonically, so ascending-id replay reproduces the structures a
-  // never-restarted replica holds).
-  std::vector<const CodeEntry*> entries;
-  entries.reserve(codes_.size());
-  for (const auto& [key, entry] : codes_) entries.push_back(&entry);
-  std::sort(entries.begin(), entries.end(),
-            [](const CodeEntry* a, const CodeEntry* b) {
-              return a->code < b->code;
-            });
-  for (const CodeEntry* entry : entries) {
-    XYMON_RETURN_IF_ERROR(RegisterOnReplica(
-        entry->code, entry->condition, replica.url_alerter,
-        replica.xml_alerter, replica.html_alerter, replica.pipeline));
+  // Any order will do: ids are the manager's, and the MQP emits matches in
+  // id order whatever its insertion history (DESIGN.md §11).
+  for (const auto& [key, entry] : codes_) {
+    XYMON_RETURN_IF_ERROR(replica->RegisterCondition(entry.code,
+                                                     entry.condition));
   }
-
-  std::vector<std::pair<mqp::ComplexEventId, const mqp::EventSet*>> defs;
-  defs.reserve(complex_defs_.size());
-  for (const auto& [id, events] : complex_defs_) defs.emplace_back(id, &events);
-  std::sort(defs.begin(), defs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [id, events] : defs) {
-    XYMON_RETURN_IF_ERROR(replica.mqp->Register(id, *events));
+  for (const auto& [id, def] : complex_) {
+    XYMON_RETURN_IF_ERROR(replica->RegisterComplex(id, def.events,
+                                                   def.binding));
   }
   return Status::OK();
 }
@@ -305,7 +198,6 @@ Status SubscriptionManager::WireContinuousQuery(
 void SubscriptionManager::RollbackSubscription(SubRecord* record) {
   for (mqp::ComplexEventId id : record->complex_events) {
     UnregisterComplex(id);
-    bindings_.erase(id);
   }
   for (const std::string& key : record->condition_keys) {
     ReleaseCode(key);
@@ -366,14 +258,16 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
       events.erase(std::unique(events.begin(), events.end()), events.end());
 
       mqp::ComplexEventId complex_id = next_complex_++;
-      Status st = RegisterComplex(complex_id, events);
+      Status st = RegisterComplex(
+          complex_id,
+          ComplexDef{std::move(events), QueryBinding{ast.name, mq.name,
+                                                     mq.select, mq.from,
+                                                     disjunct}});
       if (!st.ok()) {
         RollbackSubscription(&record);
         return st;
       }
       record.complex_events.push_back(complex_id);
-      bindings_.emplace(complex_id, QueryBinding{ast.name, mq.name, mq.select,
-                                                 mq.from, disjunct});
     }
   }
 
@@ -519,8 +413,8 @@ const std::string* SubscriptionManager::subscription_text(
 
 const QueryBinding* SubscriptionManager::FindBinding(
     mqp::ComplexEventId id) const {
-  auto it = bindings_.find(id);
-  return it == bindings_.end() ? nullptr : &it->second;
+  auto it = complex_.find(id);
+  return it == complex_.end() ? nullptr : &it->second.binding;
 }
 
 bool SubscriptionManager::HasQuery(const std::string& subscription,

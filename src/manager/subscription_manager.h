@@ -8,31 +8,18 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/alerters/pipeline.h"
 #include "src/common/clock.h"
 #include "src/common/result.h"
+#include "src/manager/replica.h"
 #include "src/manager/user_registry.h"
-#include "src/mqp/processor.h"
 #include "src/query/delta_tracker.h"
 #include "src/query/engine.h"
 #include "src/reporter/reporter.h"
 #include "src/storage/persistent_map.h"
-#include "src/sublang/ast.h"
 #include "src/sublang/validator.h"
 #include "src/trigger/trigger_engine.h"
 
 namespace xymon::manager {
-
-/// What the system needs to know when a complex event fires: which
-/// subscription/query it belongs to and how to build the notification
-/// payload (select clause + from binding).
-struct QueryBinding {
-  std::string subscription;
-  std::string query_name;
-  sublang::SelectClause select;
-  std::optional<sublang::MonitoringFrom> from;
-  std::vector<alerters::Condition> conditions;
-};
 
 /// The (Xyleme) Subscription Manager (paper §3): "chooses the internal codes
 /// of atomic events and (dynamically) warns the Alerters of the creation of
@@ -49,34 +36,16 @@ struct QueryBinding {
 /// Persistence: AttachStorage() opens the recovery log (the paper's MySQL
 /// substitute) and replays stored subscriptions; every Subscribe /
 /// Unsubscribe is logged.
-class SubscriptionManager {
+class SubscriptionManager : public BindingLookup {
  public:
-  /// One shard's detection structures: the targets a Register/Unregister
-  /// must reach on that shard (paper §4.2 — the manager "warns each MQP").
-  struct DetectionReplica {
-    mqp::MonitoringQueryProcessor* mqp = nullptr;
-    alerters::UrlAlerter* url_alerter = nullptr;
-    alerters::XmlAlerter* xml_alerter = nullptr;
-    alerters::HtmlAlerter* html_alerter = nullptr;
-    alerters::AlertPipeline* pipeline = nullptr;
-  };
-
   struct Components {
-    // The primary detection replica (shard 0 in a sharded pipeline; the
-    // whole system otherwise).
-    mqp::MonitoringQueryProcessor* mqp = nullptr;
-    alerters::UrlAlerter* url_alerter = nullptr;
-    alerters::XmlAlerter* xml_alerter = nullptr;
-    alerters::HtmlAlerter* html_alerter = nullptr;
-    alerters::AlertPipeline* pipeline = nullptr;
     trigger::TriggerEngine* trigger_engine = nullptr;
     reporter::Reporter* reporter = nullptr;
     query::QueryEngine* query_engine = nullptr;
     const Clock* clock = nullptr;
-    /// Additional detection replicas (shards 1..N-1). Every condition code
-    /// and complex event registered on the primary is mirrored onto each —
-    /// the caller quiesces the document flow around Subscribe/Unsubscribe.
-    std::vector<DetectionReplica> replicas;
+    /// One detection replica per shard, each receiving every registration
+    /// (the caller quiesces the document flow around mutations).
+    std::vector<DetectionReplica*> replicas;
   };
 
   explicit SubscriptionManager(Components components,
@@ -129,18 +98,15 @@ class SubscriptionManager {
   /// swap is atomic — on any failure the old subscription stays active.
   Status Modify(const std::string& name, const std::string& text);
 
-  /// Swaps one shard's detection replica for a fresh (empty) one and
-  /// replays every live registration into it — the subscription half of a
-  /// pipeline shard restart (DESIGN.md §13). `shard_index` 0 is the primary
-  /// replica, 1..N the mirrors. Replay order is deterministic (condition
-  /// codes ascending, then complex events ascending — the order the
-  /// structures were originally built in, since codes are allocated
-  /// monotonically), so a restarted shard's detection structures match a
-  /// never-restarted clone's. The caller quiesces the document flow.
-  Status RebindReplica(size_t shard_index, const DetectionReplica& replica);
+  /// Swaps shard `shard_index`'s replica for `replica` (fresh, empty) and
+  /// registers the live set into it, codes then complex events, with the
+  /// manager's ids — the subscription half of a shard restart on every
+  /// substrate (DESIGN.md §13). The rebuilt shard matches what a
+  /// never-restarted one matches (DESIGN.md §11). The caller quiesces the
+  /// document flow.
+  Status RebindReplica(size_t shard_index, DetectionReplica* replica);
 
-  /// Binding for a fired complex event; nullptr if unknown.
-  const QueryBinding* FindBinding(mqp::ComplexEventId id) const;
+  const QueryBinding* FindBinding(mqp::ComplexEventId id) const override;
 
   /// True if `subscription` has a (monitoring or continuous) query named
   /// `query` — target validation for virtual subscriptions.
@@ -149,6 +115,7 @@ class SubscriptionManager {
 
   size_t subscription_count() const { return subs_.size(); }
   size_t atomic_event_count() const { return codes_.size(); }
+  size_t complex_event_count() const { return complex_.size(); }
 
   /// Names of all live subscriptions, sorted. With subscription_text this
   /// lets the crash sweep rebuild a from-scratch monitor and compare its
@@ -158,30 +125,9 @@ class SubscriptionManager {
   /// Source text of a live subscription; nullptr if unknown.
   const std::string* subscription_text(const std::string& name) const;
 
-  /// Recipient e-mails of a live subscription (empty if unknown) — what the
-  /// process-mode monitor replays into a fresh worker replica alongside the
-  /// text.
-  std::vector<std::string> subscription_recipients(
-      const std::string& name) const {
-    auto it = subs_.find(name);
-    return it == subs_.end() ? std::vector<std::string>{}
-                             : it->second.recipients;
-  }
-
   /// Refresh hints ("refresh URL weekly") for the crawler: url -> period.
   const std::map<std::string, Timestamp>& refresh_hints() const {
     return refresh_hints_;
-  }
-
-  /// Replays a subscription command into this manager without persisting it
-  /// — the shard-worker replica path (DESIGN.md §14): the supervisor already
-  /// validated and logged the subscription with the submitting user's actual
-  /// privilege, so the replay is forced-privileged to guarantee the replica
-  /// accepts exactly what the primary accepted (no validator divergence).
-  Result<std::string> ReplaySubscribe(const std::string& text,
-                                      const std::string& email) {
-    return SubscribeInternal(text, email, /*persist=*/false,
-                             /*privileged=*/true);
   }
 
  private:
@@ -189,6 +135,12 @@ class SubscriptionManager {
     alerters::Condition condition;
     mqp::AtomicEvent code;
     uint32_t refcount;
+  };
+  /// A live complex event: the EventSet it was registered with (what
+  /// RebindReplica replays) and its binding (what stage 4a reads).
+  struct ComplexDef {
+    mqp::EventSet events;
+    QueryBinding binding;
   };
   struct SubRecord {
     std::vector<std::string> recipients;
@@ -204,13 +156,13 @@ class SubscriptionManager {
                                         const std::string& email,
                                         bool persist,
                                         bool privileged = false);
-  // Fan-out across the primary replica and components_.replicas. The
-  // Register forms roll back the replicas they already reached on failure.
+  // Fan-out across components_.replicas. The Register forms roll back the
+  // replicas they already reached on failure.
   Status RegisterCondition(mqp::AtomicEvent code,
                            const alerters::Condition& condition);
   void UnregisterCondition(mqp::AtomicEvent code,
                            const alerters::Condition& condition);
-  Status RegisterComplex(mqp::ComplexEventId id, const mqp::EventSet& events);
+  Status RegisterComplex(mqp::ComplexEventId id, ComplexDef def);
   void UnregisterComplex(mqp::ComplexEventId id);
   Result<mqp::AtomicEvent> AcquireCode(const alerters::Condition& condition,
                                        SubRecord* record);
@@ -226,10 +178,7 @@ class SubscriptionManager {
   mqp::AtomicEvent next_code_ = 1;
   mqp::ComplexEventId next_complex_ = 1;
   std::map<std::string, SubRecord> subs_;
-  std::unordered_map<mqp::ComplexEventId, QueryBinding> bindings_;
-  /// The EventSet each live complex event was registered with — kept so
-  /// RebindReplica can replay registrations into a restarted shard's MQP.
-  std::unordered_map<mqp::ComplexEventId, mqp::EventSet> complex_defs_;
+  std::unordered_map<mqp::ComplexEventId, ComplexDef> complex_;
   std::map<std::string, Timestamp> refresh_hints_;
   std::optional<storage::PersistentMap> owned_store_;
   storage::PersistentMap* store_ = nullptr;

@@ -1,6 +1,7 @@
 #ifndef XYMON_MQP_PROCESSOR_H_
 #define XYMON_MQP_PROCESSOR_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,11 +50,13 @@ class MonitoringQueryProcessor {
   Status Unregister(ComplexEventId id) { return matcher_->Erase(id); }
 
   /// Matches the alert and appends one notification per detected complex
-  /// event to `out`.
+  /// event to `out`, in ascending complex-event id — not in the matcher's
+  /// order, which depends on its registration history (DESIGN.md §11).
   void Process(const AlertMessage& alert,
                std::vector<MqpNotification>* out) const {
     scratch_.clear();
     matcher_->Match(alert.events, &scratch_);
+    std::sort(scratch_.begin(), scratch_.end());
     for (ComplexEventId id : scratch_) {
       out->push_back(
           MqpNotification{id, alert.docid, alert.url, alert.info_xml});
@@ -65,34 +68,6 @@ class MonitoringQueryProcessor {
  private:
   std::unique_ptr<Matcher> matcher_;
   mutable std::vector<ComplexEventId> scratch_;
-};
-
-/// Memory-axis distribution (paper §4.2, "we can split the subscriptions
-/// into several partitions and assign a Monitoring Query Processor to each
-/// block"): complex events are spread round-robin over N matchers, every
-/// alert is offered to all partitions. Each partition's structure is ~N×
-/// smaller, so partitions can live on separate machines.
-class SubscriptionPartitionedMatcher : public Matcher {
- public:
-  explicit SubscriptionPartitionedMatcher(size_t partitions);
-
-  Status Insert(ComplexEventId id, const EventSet& events) override;
-  Status Erase(ComplexEventId id) override;
-  void Match(const EventSet& s,
-             std::vector<ComplexEventId>* out) const override;
-  size_t size() const override;
-  size_t MemoryUsage() const override;
-  const MatchStats& stats() const override { return stats_; }
-  const char* name() const override { return "aes-partitioned"; }
-
-  size_t partitions() const { return parts_.size(); }
-  /// Largest per-partition structure, the per-machine memory footprint.
-  size_t MaxPartitionBytes() const;
-
- private:
-  std::vector<std::unique_ptr<AesMatcher>> parts_;
-  std::vector<size_t> owner_;  // id -> partition (dense ids expected)
-  mutable MatchStats stats_;
 };
 
 }  // namespace xymon::mqp

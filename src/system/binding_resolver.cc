@@ -102,7 +102,7 @@ void BindingResolver::Resolve(const warehouse::IngestResult& ingest,
   std::set<std::pair<std::string, std::string>> notified;
   for (const mqp::MqpNotification& match : matches) {
     const manager::QueryBinding* binding =
-        manager_->FindBinding(match.complex_event);
+        bindings_->FindBinding(match.complex_event);
     if (binding == nullptr) continue;
     if (!notified.emplace(binding->subscription, binding->query_name).second) {
       continue;

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "src/manager/subscription_manager.h"
+#include "src/manager/replica.h"
 #include "src/mqp/processor.h"
 #include "src/system/pipeline.h"
 #include "src/warehouse/warehouse.h"
@@ -12,19 +12,19 @@
 namespace xymon::system {
 
 /// Stage 4a as a standalone component: complex-event matches → deliverable
-/// DeliveryActions, via the manager's QueryBindings (binding lookup,
-/// per-query dedup, select-clause payload assembly). Factored out of
-/// XylemeMonitor so a shard worker *process* can run the identical
-/// resolution over its own replayed SubscriptionManager (DESIGN.md §14) —
-/// the actions it ships back over the wire are byte-identical to what the
-/// in-process monitor would have produced.
+/// DeliveryActions, via the QueryBindings (binding lookup, per-query dedup,
+/// select-clause payload assembly). Factored out of XylemeMonitor so a
+/// shard worker *process* runs the identical resolution over the bindings
+/// its replica operations carried (DESIGN.md §14) — the actions it ships
+/// back over the wire are byte-identical to what the in-process monitor
+/// would have produced. In process, the lookup is the SubscriptionManager.
 ///
-/// Read-only over the manager; the caller quiesces every mutation of
-/// manager state around batches (the same contract as NotifyResolver).
+/// Read-only over the bindings; the caller quiesces every mutation of them
+/// around batches (the same contract as NotifyResolver).
 class BindingResolver : public NotifyResolver {
  public:
-  explicit BindingResolver(const manager::SubscriptionManager* manager)
-      : manager_(manager) {}
+  explicit BindingResolver(const manager::BindingLookup* bindings)
+      : bindings_(bindings) {}
 
   void Resolve(const warehouse::IngestResult& ingest,
                const std::vector<mqp::MqpNotification>& matches,
@@ -36,7 +36,7 @@ class BindingResolver : public NotifyResolver {
                        const warehouse::IngestResult& ingest,
                        std::vector<std::string>* payloads) const;
 
-  const manager::SubscriptionManager* manager_;
+  const manager::BindingLookup* bindings_;
 };
 
 }  // namespace xymon::system

@@ -9,24 +9,17 @@ namespace xymon::system {
 
 namespace {
 
-// Wires the manager to shard 0 as the primary detection replica and shards
-// 1..N-1 as mirrors — every Register/Unregister fans out to all of them
-// (paper §4.2: the Subscription Manager "warns each MQP").
+// Wires the manager to every shard's detection replica — each
+// Register/Unregister fans out to all of them, in threads or in worker
+// processes alike (paper §4.2: the Subscription Manager "warns each MQP").
 manager::SubscriptionManager::Components BuildComponents(
     IngestPipeline* pipeline, trigger::TriggerEngine* trigger_engine,
     reporter::Reporter* reporter, query::QueryEngine* query_engine,
     const Clock* clock) {
-  PipelineShard& primary = pipeline->shard(0);
   manager::SubscriptionManager::Components components{
-      &primary.mqp,          &primary.url_alerter, &primary.xml_alerter,
-      &primary.html_alerter, &primary.alert_pipeline,
-      trigger_engine,        reporter,             query_engine,
-      clock};
-  for (size_t i = 1; i < pipeline->shard_count(); ++i) {
-    PipelineShard& shard = pipeline->shard(i);
-    components.replicas.push_back({&shard.mqp, &shard.url_alerter,
-                                   &shard.xml_alerter, &shard.html_alerter,
-                                   &shard.alert_pipeline});
+      trigger_engine, reporter, query_engine, clock, {}};
+  for (size_t i = 0; i < pipeline->shard_count(); ++i) {
+    components.replicas.push_back(pipeline->replica(i));
   }
   return components;
 }
@@ -57,13 +50,11 @@ XylemeMonitor::XylemeMonitor(const Clock* clock, const Options& options)
   manager_.set_user_registry(&users_);
 
   // Subscription half of a shard restart: the pipeline rebuilt the shard's
-  // detection structures empty; rebind the manager to the fresh pointers and
-  // replay every live registration into them (DESIGN.md §13).
+  // detection structures empty (a fresh local shard or a respawned worker);
+  // rebind the manager to them and register every live subscription into
+  // them (DESIGN.md §13).
   pipeline_.set_restart_hook([this](size_t index) {
-    PipelineShard& shard = pipeline_.shard(index);
-    return manager_.RebindReplica(
-        index, {&shard.mqp, &shard.url_alerter, &shard.xml_alerter,
-                &shard.html_alerter, &shard.alert_pipeline});
+    return manager_.RebindReplica(index, pipeline_.replica(index));
   });
 
   // Cold-start recovery through the StorageHub, which owns every store and
@@ -72,8 +63,9 @@ XylemeMonitor::XylemeMonitor(const Clock* clock, const Options& options)
   // num_shards changed since the store was written. Attach order matters
   // only in that the outbox backlog must be restored before anything can
   // Send (re-queued mail keeps its original seq). Subscription recovery
-  // rebuilds the MQP hash tree (on every shard), the alerter structures and
-  // the trigger engine as a side effect of replay.
+  // rebuilds the MQP hash tree (on every shard, worker processes included),
+  // the alerter structures and the trigger engine as a side effect of
+  // replay.
   //
   // Construction cannot fail without exceptions; a bad storage path leaves
   // the system running non-durably with the error in storage_status().
@@ -117,20 +109,6 @@ XylemeMonitor::XylemeMonitor(const Clock* clock, const Options& options)
   }
   note(users_.AttachStore(hub_->store("users")));
   note(manager_.AttachStore(hub_->store("subscriptions")));
-  // Process mode: the workers' detection structures mirror the manager's —
-  // replay every recovered subscription into the fleet (and the replay log,
-  // so later respawns get them too). Names come from the subscription text,
-  // so replay order cannot shift identities.
-  if (pipeline_.process_mode()) {
-    for (const std::string& name : manager_.subscription_names()) {
-      const std::string* text = manager_.subscription_text(name);
-      if (text == nullptr) continue;
-      std::vector<std::string> recipients =
-          manager_.subscription_recipients(name);
-      note(pipeline_.ReplicateSubscribe(
-          *text, recipients.empty() ? "" : recipients[0], clock_->Now()));
-    }
-  }
 }
 
 Result<std::unique_ptr<XylemeMonitor>> XylemeMonitor::Open(
@@ -172,49 +150,24 @@ Status XylemeMonitor::AddUser(const manager::User& user) {
 Result<std::string> XylemeMonitor::SubscribeAs(const std::string& user_name,
                                                const std::string& text) {
   std::lock_guard<std::mutex> lock(api_mutex_);
-  auto result = manager_.SubscribeAs(user_name, text);
-  if (result.ok() && pipeline_.process_mode()) {
-    std::optional<manager::User> user = users_.Find(user_name);
-    Status st = pipeline_.ReplicateSubscribe(
-        text, user.has_value() ? user->email : "", clock_->Now());
-    // A failed broadcast means a worker died mid-command; its shard is
-    // quarantined and the replay log carries the subscription — restart
-    // now so the next batch sees a full fleet.
-    if (!st.ok()) MaybeRestartShardsLocked();
-  }
-  return result;
+  return manager_.SubscribeAs(user_name, text);
 }
 
 Result<std::string> XylemeMonitor::Subscribe(const std::string& text,
                                              const std::string& email) {
   std::lock_guard<std::mutex> lock(api_mutex_);
-  auto result = manager_.Subscribe(text, email);
-  if (result.ok() && pipeline_.process_mode()) {
-    Status st = pipeline_.ReplicateSubscribe(text, email, clock_->Now());
-    if (!st.ok()) MaybeRestartShardsLocked();
-  }
-  return result;
+  return manager_.Subscribe(text, email);
 }
 
 Status XylemeMonitor::Unsubscribe(const std::string& name) {
   std::lock_guard<std::mutex> lock(api_mutex_);
-  Status result = manager_.Unsubscribe(name);
-  if (result.ok() && pipeline_.process_mode()) {
-    Status st = pipeline_.ReplicateUnsubscribe(name, clock_->Now());
-    if (!st.ok()) MaybeRestartShardsLocked();
-  }
-  return result;
+  return manager_.Unsubscribe(name);
 }
 
 void XylemeMonitor::AddDomainRule(warehouse::DomainClassifier::Rule rule) {
   std::lock_guard<std::mutex> lock(api_mutex_);
-  if (pipeline_.process_mode()) {
-    Status st = pipeline_.ReplicateDomainRule(rule.domain, rule.doctype_name,
-                                              rule.root_tag,
-                                              rule.url_substring);
-    if (!st.ok()) MaybeRestartShardsLocked();
-  }
-  classifier_.AddRule(std::move(rule));
+  classifier_.AddRule(rule);
+  pipeline_.ReplicateDomainRule(rule);
 }
 
 void XylemeMonitor::Deliver(const DocJob& job, DocOutcome& outcome) {
@@ -270,8 +223,8 @@ void XylemeMonitor::ProcessJobsLocked(std::vector<DocJob> jobs,
                                       std::vector<DocOutcome>* outcomes) {
   // Kill-at-a-batch-boundary containment: sweep for dead workers and
   // restart quarantined shards *before* scattering, so a worker that died
-  // between batches is respawned (recovered from its partition, replayed
-  // the subscription log) in time for this batch to see a full fleet.
+  // between batches is respawned (recovered from its partition, rebound to
+  // the live subscriptions) in time for this batch to see a full fleet.
   pipeline_.PollWorkers();
   MaybeRestartShardsLocked();
   pipeline_.ProcessBatch(std::move(jobs), clock_->Now(), this, outcomes);
@@ -398,16 +351,18 @@ std::string XylemeMonitor::StatusReport() const {
   subs->SetAttribute("atomic_events",
                      std::to_string(manager_.atomic_event_count()));
 
+  // Counts from the manager and the stage counters cover every substrate;
+  // the matcher's memory only when it lives in this process.
+  PipelineStats ps = pipeline_.stats();
   const mqp::Matcher& matcher = pipeline_.shard(0).mqp.matcher();
-  uint64_t documents_matched = 0;
-  for (size_t i = 0; i < pipeline_.shard_count(); ++i) {
-    documents_matched += pipeline_.shard(i).mqp.matcher().stats().documents;
-  }
   xml::Node* m = root->AddChild(xml::Node::Element("MQP"));
   m->SetAttribute("algorithm", matcher.name());
-  m->SetAttribute("complex_events", std::to_string(matcher.size()));
-  m->SetAttribute("memory_bytes", std::to_string(matcher.MemoryUsage()));
-  m->SetAttribute("documents_matched", std::to_string(documents_matched));
+  m->SetAttribute("complex_events",
+                  std::to_string(manager_.complex_event_count()));
+  if (!pipeline_.process_mode()) {
+    m->SetAttribute("memory_bytes", std::to_string(matcher.MemoryUsage()));
+  }
+  m->SetAttribute("documents_matched", std::to_string(ps.match.documents));
 
   xml::Node* trig = root->AddChild(xml::Node::Element("TriggerEngine"));
   trig->SetAttribute("triggers",
@@ -429,7 +384,6 @@ std::string XylemeMonitor::StatusReport() const {
   portal->SetAttribute("published",
                        std::to_string(web_portal_.published_count()));
 
-  PipelineStats ps = pipeline_.stats();
   xml::Node* pipe = root->AddChild(xml::Node::Element("Pipeline"));
   pipe->SetAttribute("shards", std::to_string(ps.shards));
   pipe->SetAttribute("batches", std::to_string(ps.batches));

@@ -151,7 +151,7 @@ class XylemeMonitor : private DeliverySink {
 
   // -- Subscriptions ----------------------------------------------------------
   // Every mutating call quiesces the document flow: it waits for any running
-  // batch to finish, then applies to all shards (primary + replicas).
+  // batch to finish, then applies to every shard's detection replica.
 
   Result<std::string> Subscribe(const std::string& text,
                                 const std::string& email);

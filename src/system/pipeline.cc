@@ -92,6 +92,8 @@ const char* ShardHealthName(ShardHealth health) {
 PipelineShard::PipelineShard(const warehouse::DomainClassifier* classifier)
     : warehouse(classifier),
       alert_pipeline(&url_alerter, &xml_alerter, &html_alerter),
+      replica(&mqp, &url_alerter, &xml_alerter, &html_alerter,
+              &alert_pipeline),
       ingest_stage(std::make_unique<WarehouseIngestStage>(&warehouse)),
       detect_stage(std::make_unique<AlerterDetectStage>(&alert_pipeline)),
       match_stage(std::make_unique<MqpMatchStage>(&mqp)) {}
@@ -293,6 +295,11 @@ IngestPipeline::~IngestPipeline() {
 
 size_t IngestPipeline::ShardFor(std::string_view url) const {
   return shards_.size() == 1 ? 0 : Fnv1a(url) % shards_.size();
+}
+
+manager::DetectionReplica* IngestPipeline::replica(size_t i) {
+  if (process_mode()) return proxies_[i].get();
+  return &shards_[i]->replica;
 }
 
 const warehouse::DocumentSource* IngestPipeline::document_source() const {
@@ -781,10 +788,15 @@ Status IngestPipeline::RestartShard(size_t index) {
       // Kill-and-restart containment: SIGKILL whatever is left of the
       // worker, fork/exec a fresh one with the stored hello, point it at
       // its partition file (it recovers from disk itself — the supervisor
-      // never reopens a released partition), and replay the logged
-      // subscription/rule commands to rebuild its detection structures.
-      proxies_[index]->set_counter_shard(&shard);
-      XYMON_RETURN_IF_ERROR(proxies_[index]->Respawn(replay_log_));
+      // never reopens a released partition) and send it the classifier's
+      // rules. The restart hook below rebuilds its detection structures.
+      ShardWorkerProxy& proxy = *proxies_[index];
+      proxy.set_counter_shard(&shard);
+      XYMON_RETURN_IF_ERROR(proxy.Respawn());
+      for (const warehouse::DomainClassifier::Rule& rule :
+           classifier_->rules()) {
+        XYMON_RETURN_IF_ERROR(proxy.SendDomainRule(rule));
+      }
     } else if (hub_ != nullptr) {
       // Rebuild from durable state: reopen the partition from disk and
       // recover the warehouse from it. Without a hub the shard restarts
@@ -808,6 +820,8 @@ Status IngestPipeline::RestartShard(size_t index) {
       shard.worker = std::thread(&IngestPipeline::WorkerLoop, this, &shard);
     }
     // Re-register subscriptions on the fresh detection replica.
+    // (A worker dying meanwhile fails no registration; the next
+    // PollWorkers quarantines it again.)
     return restart_hook_ ? restart_hook_(index) : Status::OK();
   }();
 
@@ -852,52 +866,9 @@ void IngestPipeline::PollWorkers() {
   }
 }
 
-Status IngestPipeline::BroadcastCommand(uint64_t seq, std::string payload) {
-  // Log first: a worker that dies mid-broadcast is quarantined by its death
-  // path and picks the command up from the replay on respawn.
-  replay_log_.emplace_back(seq, payload);
-  Status first_error;
-  for (auto& proxy : proxies_) {
-    Status st = proxy->Command(seq, payload);
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
-  return first_error;
-}
-
-Status IngestPipeline::ReplicateSubscribe(const std::string& text,
-                                          const std::string& email,
-                                          Timestamp now) {
-  if (!process_mode()) return Status::OK();
-  ipc::SubscribeMsg msg;
-  msg.seq = replay_seq_++;
-  msg.now = now;
-  msg.text = text;
-  msg.email = email;
-  return BroadcastCommand(msg.seq, msg.Encode());
-}
-
-Status IngestPipeline::ReplicateUnsubscribe(const std::string& name,
-                                            Timestamp now) {
-  if (!process_mode()) return Status::OK();
-  ipc::UnsubscribeMsg msg;
-  msg.seq = replay_seq_++;
-  msg.now = now;
-  msg.name = name;
-  return BroadcastCommand(msg.seq, msg.Encode());
-}
-
-Status IngestPipeline::ReplicateDomainRule(const std::string& domain,
-                                           const std::string& doctype_name,
-                                           const std::string& root_tag,
-                                           const std::string& url_substring) {
-  if (!process_mode()) return Status::OK();
-  ipc::DomainRuleMsg msg;
-  msg.seq = replay_seq_++;
-  msg.domain = domain;
-  msg.doctype_name = doctype_name;
-  msg.root_tag = root_tag;
-  msg.url_substring = url_substring;
-  return BroadcastCommand(msg.seq, msg.Encode());
+void IngestPipeline::ReplicateDomainRule(
+    const warehouse::DomainClassifier::Rule& rule) {
+  for (auto& proxy : proxies_) (void)proxy->SendDomainRule(rule);
 }
 
 int IngestPipeline::worker_pid(size_t index) const {

@@ -19,6 +19,7 @@
 #include "src/alerters/pipeline.h"
 #include "src/common/clock.h"
 #include "src/common/result.h"
+#include "src/manager/replica.h"
 #include "src/mqp/processor.h"
 #include "src/storage/storage_hub.h"
 #include "src/warehouse/warehouse.h"
@@ -336,7 +337,7 @@ struct ShardWorkItem {
 
 /// One partition of the document flow: a warehouse partition plus a full
 /// replica of every detection structure (paper §4.2 — the Subscription
-/// Manager "warns each MQP" through SubscriptionManager::DetectionReplica).
+/// Manager "warns each MQP" through `replica`).
 struct PipelineShard {
   explicit PipelineShard(const warehouse::DomainClassifier* classifier);
 
@@ -348,6 +349,8 @@ struct PipelineShard {
   alerters::HtmlAlerter html_alerter;
   alerters::AlertPipeline alert_pipeline;
   mqp::MonitoringQueryProcessor mqp;
+  /// The manager's handle on the alerters and MQP above.
+  manager::LocalReplica replica;
 
   // Stage seams (default adapters over the components above; wrapped by the
   // FaultyStage decorators when fault injection is configured).
@@ -467,7 +470,7 @@ class IngestPipeline {
 
   /// Called at the end of RestartShard with the shard index, after the
   /// replacement shard is attached to storage and its worker is running —
-  /// the owner re-registers subscriptions on the fresh detection replica
+  /// the owner re-registers subscriptions on replica(index)
   /// (SubscriptionManager::RebindReplica). A non-ok return fails the
   /// restart (the shard stays quarantined).
   void set_restart_hook(std::function<Status(size_t)> hook) {
@@ -477,6 +480,11 @@ class IngestPipeline {
   size_t shard_count() const { return shards_.size(); }
   PipelineShard& shard(size_t i) { return *shards_[i]; }
   const PipelineShard& shard(size_t i) const { return *shards_[i]; }
+
+  /// Shard `i`'s detection replica for the Subscription Manager: its
+  /// LocalReplica, or in process mode its worker's ShardWorkerProxy (the
+  /// supervisor's own shards then hold no registrations).
+  manager::DetectionReplica* replica(size_t i);
 
   /// Which shard owns `url` (stable FNV-1a hash, so every version of a page
   /// meets the same partition).
@@ -566,20 +574,10 @@ class IngestPipeline {
   /// for a reader thread to notice the EOF. No-op outside process mode.
   void PollWorkers();
 
-  /// Replicated-command broadcasts: in process mode, forwards the mutation
-  /// to every worker (waiting for acks) and appends it to the replay log a
-  /// respawned worker is brought up to date from. No-ops otherwise. A
-  /// worker that fails its ack has died — its shard is quarantined via the
-  /// death path and the logged command heals it on restart — so the first
-  /// error is returned for visibility but the mutation is never rolled
-  /// back.
-  Status ReplicateSubscribe(const std::string& text, const std::string& email,
-                            Timestamp now);
-  Status ReplicateUnsubscribe(const std::string& name, Timestamp now);
-  Status ReplicateDomainRule(const std::string& domain,
-                             const std::string& doctype_name,
-                             const std::string& root_tag,
-                             const std::string& url_substring);
+  /// In process mode, sends a classifier rule to every live worker (a no-op
+  /// otherwise). A worker that misses it is down; RestartShard sends a
+  /// respawned worker every rule of the classifier.
+  void ReplicateDomainRule(const warehouse::DomainClassifier::Rule& rule);
 
   /// The worker process serving shard `index` (-1 when not in process mode
   /// or the worker is down) — tests aim their SIGKILLs here.
@@ -619,9 +617,6 @@ class IngestPipeline {
   void SpawnWorkers();
   /// Marks shard `index` quarantined (worker death path; any thread).
   void QuarantineShard(size_t index);
-  /// Broadcast helper: sends the encoded command to every live worker,
-  /// appending it to the replay log first.
-  Status BroadcastCommand(uint64_t seq, std::string payload);
   /// DOCIDs are assigned centrally in submission order for every shard
   /// count (deletions get 0), so ids — and everything derived from them —
   /// are identical at 1 and N shards, and a contained ingest failure cannot
@@ -650,11 +645,6 @@ class IngestPipeline {
   std::unique_ptr<RemoteSource> remote_source_;
   Status worker_status_;  // first spawn error (ctor cannot fail)
   uint64_t batch_seq_ = 0;  // tags the in-flight batch's slots on the wire
-  /// Replicated commands (encoded Subscribe/Unsubscribe/DomainRule frames,
-  /// keyed by seq) replayed into a respawned worker to rebuild its
-  /// detection structures.
-  std::vector<std::pair<uint64_t, std::string>> replay_log_;
-  uint64_t replay_seq_ = 1;
 
   /// Central DOCID allocation (see AssignDocid).
   std::unordered_map<std::string, uint64_t> docids_;

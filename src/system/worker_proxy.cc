@@ -13,7 +13,7 @@ namespace xymon::system {
 
 namespace {
 
-/// Bound on command round-trips (handshake, replay acks, checkpoints
+/// Bound on command round-trips (handshake, command acks, checkpoints
 /// pending send) and on slot writes into a full socket buffer.
 constexpr uint32_t kCommandTimeoutMs = 10000;
 
@@ -117,10 +117,8 @@ Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
     batch_seq_ = 0;
     outstanding_.clear();
     acks_.clear();
-    waiting_acks_.clear();
     checkpoints_.clear();
     domain_results_.clear();
-    waiting_domains_.clear();
     last_rx_us_ = SteadyMicros();  // the HelloAck was a frame
   }
   reader_ = std::thread(&ShardWorkerProxy::ReaderLoop, this);
@@ -130,52 +128,89 @@ Status ShardWorkerProxy::Spawn(const ipc::HelloMsg& hello) {
   return Status::OK();
 }
 
-Status ShardWorkerProxy::SendOpenPartition(const std::string& path,
-                                           uint32_t fsync_every_n,
-                                           uint64_t auto_checkpoint_bytes) {
-  uint64_t seq;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    partition_cmd_.path = path;
-    partition_cmd_.fsync_every_n = fsync_every_n;
-    partition_cmd_.auto_checkpoint_bytes = auto_checkpoint_bytes;
-    has_partition_ = true;
-    seq = query_seq_++;
-  }
-  ipc::OpenPartitionMsg msg = partition_cmd_;
-  msg.seq = seq;
-  return Command(seq, msg.Encode());
-}
-
-Status ShardWorkerProxy::Command(uint64_t seq, const std::string& payload) {
+template <typename Msg>
+Status ShardWorkerProxy::Command(Msg msg, bool* acked) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dead_ || !spawned_) return Status::Unavailable("worker down");
-    waiting_acks_.insert(seq);
+    msg.seq = next_seq_++;
+    acks_[msg.seq];
   }
-  Status s = WriteFrameLocked(payload, kCommandTimeoutMs);
+  const uint64_t seq = msg.seq;
+  Status s = WriteFrameLocked(msg.Encode(), kCommandTimeoutMs);
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!s.ok()) {
-    waiting_acks_.erase(seq);
-    acks_.erase(seq);
-    return s;
-  }
-  bool arrived = cv_.wait_for(
+  bool arrived = s.ok() && cv_.wait_for(
       lock, std::chrono::milliseconds(kCommandTimeoutMs),
-      [&] { return dead_ || acks_.count(seq) > 0; });
-  waiting_acks_.erase(seq);
-  auto it = acks_.find(seq);
-  if (it != acks_.end()) {
-    Status ack = it->second;
-    acks_.erase(it);
-    return ack;
+      [&] { return dead_ || acks_[seq].has_value(); });
+  std::optional<Status> ack = std::move(acks_[seq]);
+  acks_.erase(seq);
+  if (!s.ok()) return s;
+  if (ack.has_value()) {
+    if (acked != nullptr) *acked = true;
+    return *ack;
   }
-  if (dead_) return Status::Unavailable("worker down");
   if (!arrived) {
     return Status::DeadlineExceeded("worker command " + std::to_string(seq) +
                                     " timed out");
   }
   return Status::Unavailable("worker down");
+}
+
+Status ShardWorkerProxy::SendOpenPartition(const std::string& path,
+                                           uint32_t fsync_every_n,
+                                           uint64_t auto_checkpoint_bytes) {
+  ipc::OpenPartitionMsg msg{0, path, fsync_every_n, auto_checkpoint_bytes};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    partition_cmd_ = msg;
+    has_partition_ = true;
+  }
+  return Command(std::move(msg));
+}
+
+Status ShardWorkerProxy::SendDomainRule(
+    const warehouse::DomainClassifier::Rule& rule) {
+  return Command(ipc::DomainRuleMsg{0, rule.domain, rule.doctype_name,
+                                    rule.root_tag, rule.url_substring});
+}
+
+Status ShardWorkerProxy::ApplyReplicaOp(ipc::ReplicaOpMsg msg) {
+  bool acked = false;
+  Status st = Command(std::move(msg), &acked);
+  if (acked) return st;
+  // No verdict: down, or alive and silent (it may apply the op later or
+  // never) — kill it so the death path quarantines the shard.
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (pid_ > 0 && !reaped_) kill(pid_, SIGKILL);
+  if (fd_ >= 0) shutdown(fd_, SHUT_RDWR);
+  return Status::OK();
+}
+
+using Op = ipc::ReplicaOpMsg::Op;
+
+Status ShardWorkerProxy::RegisterCondition(
+    mqp::AtomicEvent code, const alerters::Condition& condition) {
+  return ApplyReplicaOp(
+      {.op = Op::kRegisterCondition, .id = code, .condition = condition});
+}
+
+void ShardWorkerProxy::UnregisterCondition(
+    mqp::AtomicEvent code, const alerters::Condition& condition) {
+  (void)ApplyReplicaOp(
+      {.op = Op::kUnregisterCondition, .id = code, .condition = condition});
+}
+
+Status ShardWorkerProxy::RegisterComplex(mqp::ComplexEventId id,
+                                         const mqp::EventSet& events,
+                                         const manager::QueryBinding& binding) {
+  return ApplyReplicaOp({.op = Op::kRegisterComplex,
+                         .id = id,
+                         .events = events,
+                         .binding = binding});
+}
+
+void ShardWorkerProxy::UnregisterComplex(mqp::ComplexEventId id) {
+  (void)ApplyReplicaOp({.op = Op::kUnregisterComplex, .id = id});
 }
 
 Status ShardWorkerProxy::SendSlot(const std::shared_ptr<BatchState>& state,
@@ -218,7 +253,7 @@ Status ShardWorkerProxy::SendCheckpoint(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dead_ || !spawned_) return Status::Unavailable("worker down");
-    seq = query_seq_++;
+    seq = next_seq_++;
     checkpoints_[seq] = ticket;
   }
   ipc::CheckpointMsg msg;
@@ -237,29 +272,21 @@ Result<ipc::DomainDocsMsg> ShardWorkerProxy::QueryDomain(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dead_ || !spawned_) return Status::Unavailable("worker down");
-    seq = query_seq_++;
-    waiting_domains_.insert(seq);
+    seq = next_seq_++;
+    domain_results_[seq];
   }
   ipc::QueryDomainMsg msg;
   msg.seq = seq;
   msg.domain = domain;
   Status s = WriteFrameLocked(msg.Encode(), kCommandTimeoutMs);
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!s.ok()) {
-    waiting_domains_.erase(seq);
-    domain_results_.erase(seq);
-    return s;
-  }
-  bool arrived = cv_.wait_for(
+  bool arrived = s.ok() && cv_.wait_for(
       lock, std::chrono::milliseconds(kCommandTimeoutMs),
-      [&] { return dead_ || domain_results_.count(seq) > 0; });
-  waiting_domains_.erase(seq);
-  auto it = domain_results_.find(seq);
-  if (it != domain_results_.end()) {
-    ipc::DomainDocsMsg result = std::move(it->second);
-    domain_results_.erase(it);
-    return result;
-  }
+      [&] { return dead_ || domain_results_[seq].has_value(); });
+  std::optional<ipc::DomainDocsMsg> result = std::move(domain_results_[seq]);
+  domain_results_.erase(seq);
+  if (!s.ok()) return s;
+  if (result.has_value()) return std::move(*result);
   if (dead_) return Status::Unavailable("worker down");
   if (!arrived) {
     return Status::DeadlineExceeded("worker domain query timed out");
@@ -267,8 +294,7 @@ Result<ipc::DomainDocsMsg> ShardWorkerProxy::QueryDomain(
   return Status::Unavailable("worker down");
 }
 
-Status ShardWorkerProxy::Respawn(
-    const std::vector<std::pair<uint64_t, std::string>>& replay) {
+Status ShardWorkerProxy::Respawn() {
   Kill();
   ipc::HelloMsg hello;
   bool reopen;
@@ -280,16 +306,7 @@ Status ShardWorkerProxy::Respawn(
     partition = partition_cmd_;
   }
   XYMON_RETURN_IF_ERROR(Spawn(hello));
-  if (reopen) {
-    XYMON_RETURN_IF_ERROR(SendOpenPartition(partition.path,
-                                            partition.fsync_every_n,
-                                            partition.auto_checkpoint_bytes));
-  }
-  // Full command history, in order: subscriptions AND unsubscriptions, so
-  // the fresh replicas converge on the same subscription numbering.
-  for (const auto& [seq, payload] : replay) {
-    XYMON_RETURN_IF_ERROR(Command(seq, payload));
-  }
+  if (reopen) XYMON_RETURN_IF_ERROR(Command(std::move(partition)));
   std::lock_guard<std::mutex> lock(mutex_);
   respawns_++;
   return Status::OK();
@@ -506,8 +523,11 @@ void ShardWorkerProxy::ReaderLoop() {
         {
           std::lock_guard<std::mutex> lock(mutex_);
           last_rx_us_ = SteadyMicros();
-          acks_[msg.seq] =
-              ipc::DecodeStatus(msg.status_code, std::move(msg.status_message));
+          auto it = acks_.find(msg.seq);
+          if (it != acks_.end()) {
+            it->second = ipc::DecodeStatus(msg.status_code,
+                                           std::move(msg.status_message));
+          }
         }
         cv_.notify_all();
         break;
@@ -555,9 +575,8 @@ void ShardWorkerProxy::ReaderLoop() {
         {
           std::lock_guard<std::mutex> lock(mutex_);
           last_rx_us_ = SteadyMicros();
-          if (waiting_domains_.count(msg.seq) > 0) {
-            domain_results_[msg.seq] = std::move(msg);
-          }
+          auto it = domain_results_.find(msg.seq);
+          if (it != domain_results_.end()) it->second = std::move(msg);
         }
         cv_.notify_all();
         break;
@@ -667,10 +686,7 @@ void ShardWorkerProxy::FailOutstandingLocked(
     }
     lock.lock();
   }
-  // Pending command acks fail Unavailable (the waiters re-check dead_).
-  for (uint64_t seq : waiting_acks_) {
-    acks_[seq] = Status::Unavailable("worker down");
-  }
+  // Pending command waiters wake on dead_ and report the worker down.
   // Checkpoint markers complete Unavailable — the partition on disk is what
   // the respawn rebuilds from.
   std::map<uint64_t, std::shared_ptr<CheckpointTicket>> checkpoints;

@@ -9,15 +9,16 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "src/common/result.h"
 #include "src/ipc/wire.h"
+#include "src/manager/replica.h"
 #include "src/system/pipeline.h"
+#include "src/warehouse/domain_classifier.h"
 
 namespace xymon::system {
 
@@ -36,16 +37,18 @@ namespace xymon::system {
 ///   * A reader thread drains worker→supervisor frames; a heartbeat thread
 ///     pings on an interval and SIGKILLs a worker whose last frame is older
 ///     than the timeout (a wedge becomes an EOF becomes the death path).
+///   * As a manager::DetectionReplica it carries the manager's
+///     registrations to the worker, one acked ReplicaOp frame each.
 ///   * On death — crash, wedge-kill, or protocol corruption — every
 ///     outstanding slot fails Unavailable, pending tickets and commands
 ///     complete Unavailable, and `on_down` lets the pipeline quarantine the
 ///     shard. The monitor never dies with a worker.
 ///
-/// Thread-safety: SendSlot/Command/QueryDomain/SendCheckpoint may be called
-/// from the pipeline's scatter thread while the reader and heartbeat
-/// threads run; Spawn/Respawn/Kill/Shutdown require the same serialization
-/// as RestartShard (no batch in flight, single caller).
-class ShardWorkerProxy {
+/// Thread-safety: SendSlot/QueryDomain/SendCheckpoint may be called from
+/// the pipeline's scatter thread while the reader and heartbeat threads
+/// run; the replica operations, Spawn/Respawn/Kill/Shutdown require the
+/// same serialization as RestartShard (no batch in flight, single caller).
+class ShardWorkerProxy final : public manager::DetectionReplica {
  public:
   /// Callbacks into the owning pipeline.
   struct Supervision {
@@ -61,7 +64,7 @@ class ShardWorkerProxy {
   /// pipeline's `options`, which must outlive the proxy.
   ShardWorkerProxy(size_t shard_index, const IngestPipeline::Options& options,
                    Supervision supervision);
-  ~ShardWorkerProxy();
+  ~ShardWorkerProxy() override;
 
   ShardWorkerProxy(const ShardWorkerProxy&) = delete;
   ShardWorkerProxy& operator=(const ShardWorkerProxy&) = delete;
@@ -74,9 +77,19 @@ class ShardWorkerProxy {
   Status SendOpenPartition(const std::string& path, uint32_t fsync_every_n,
                            uint64_t auto_checkpoint_bytes);
 
-  /// Sends one already-encoded command frame (Subscribe/Unsubscribe/
-  /// DomainRule payload carrying `seq`) and waits for its CmdAck.
-  Status Command(uint64_t seq, const std::string& payload);
+  /// Sends one domain-classifier rule and waits for its ack.
+  Status SendDomainRule(const warehouse::DomainClassifier::Rule& rule);
+
+  // manager::DetectionReplica. Only an error ack fails an operation; a
+  // worker that is down or does not ack (it is then killed) misses it, its
+  // shard is quarantined and RestartShard rebuilds it from live state.
+  Status RegisterCondition(mqp::AtomicEvent code,
+                           const alerters::Condition& condition) override;
+  void UnregisterCondition(mqp::AtomicEvent code,
+                           const alerters::Condition& condition) override;
+  Status RegisterComplex(mqp::ComplexEventId id, const mqp::EventSet& events,
+                         const manager::QueryBinding& binding) override;
+  void UnregisterComplex(mqp::ComplexEventId id) override;
 
   /// Scatters one slot of `state` to the worker. The write is bounded by
   /// the command timeout — a wedged worker with a full socket buffer yields
@@ -92,10 +105,10 @@ class ShardWorkerProxy {
   /// Remote DocumentsInDomain for the continuous-query read path.
   Result<ipc::DomainDocsMsg> QueryDomain(const std::string& domain);
 
-  /// SIGKILL + full teardown + fresh Spawn with the stored hello, partition
-  /// command, and the pipeline's command replay log. Caller holds the
-  /// RestartShard serialization.
-  Status Respawn(const std::vector<std::pair<uint64_t, std::string>>& replay);
+  /// SIGKILL + full teardown + fresh Spawn with the stored hello and
+  /// partition command (RestartShard then sends the rules and the live
+  /// registrations). Caller holds the RestartShard serialization.
+  Status Respawn();
 
   /// SIGKILL and tear down (threads joined, child reaped, fd closed).
   /// Expected deaths (this, Shutdown) are not counted as crashes and do not
@@ -134,6 +147,11 @@ class ShardWorkerProxy {
   /// The one-and-only death path; idempotent. `expected` deaths skip the
   /// crash counter and on_down.
   void HandleDown(const std::string& reason, bool proto_error);
+  /// Sends `msg` under a fresh seq and waits for its CmdAck; sets `*acked`
+  /// if the status is the worker's verdict, not the transport's.
+  template <typename Msg>
+  Status Command(Msg msg, bool* acked = nullptr);
+  Status ApplyReplicaOp(ipc::ReplicaOpMsg msg);
   void FailOutstandingLocked(std::unique_lock<std::mutex>& lock);
   Status WriteFrameLocked(const std::string& payload, uint32_t deadline_ms);
   void ReapLocked();
@@ -167,12 +185,11 @@ class ShardWorkerProxy {
   std::unordered_set<size_t> outstanding_;
 
   // Pending request/response conversations, keyed by seq.
-  std::map<uint64_t, Status> acks_;           // arrived acks
-  std::unordered_set<uint64_t> waiting_acks_; // seqs a Command waits on
+  // A key is present while its caller waits; the reader fills the value.
+  std::map<uint64_t, std::optional<Status>> acks_;
   std::map<uint64_t, std::shared_ptr<CheckpointTicket>> checkpoints_;
-  std::map<uint64_t, ipc::DomainDocsMsg> domain_results_;
-  std::unordered_set<uint64_t> waiting_domains_;
-  uint64_t query_seq_ = 1u << 20;  // distinct range from command seqs
+  std::map<uint64_t, std::optional<ipc::DomainDocsMsg>> domain_results_;
+  uint64_t next_seq_ = 1;  // every supervisor→worker request
 
   PipelineShard* counter_shard_ = nullptr;
 

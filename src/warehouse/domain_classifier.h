@@ -31,7 +31,7 @@ class DomainClassifier {
   std::string Classify(std::string_view url, std::string_view doctype_name,
                        const xml::Node* root) const;
 
-  size_t rule_count() const { return rules_.size(); }
+  const std::vector<Rule>& rules() const { return rules_; }
 
  private:
   std::vector<Rule> rules_;

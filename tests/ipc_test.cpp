@@ -11,7 +11,7 @@
 //   3. Equivalence — the seeded workload (monitoring subscriptions plus a
 //      continuous query over the remote document source) at shard_mode =
 //      process with 2 and 4 workers delivers bit-for-bit the inline
-//      1-shard mail, with the same MQP tree shape and document count.
+//      1-shard mail, with the same document and notification counts.
 //   4. Containment — a stage throw inside a worker fails only its slot;
 //      SIGKILL at every batch boundary, a mid-batch wedge caught by the
 //      heartbeat, and a worker dying mid-write: workers are respawned from
@@ -27,6 +27,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <functional>
@@ -220,6 +221,67 @@ TEST(WireMessageTest, DomainDocsRoundtripsMetaAndBody) {
   EXPECT_EQ(got.docs[0].doc_xml, doc.doc_xml);
 }
 
+TEST(WireMessageTest, ReplicaOpRoundtripsConditionAndBinding) {
+  alerters::Condition condition{};
+  condition.kind = alerters::ConditionKind::kLastUpdateCmp;
+  condition.str_value = "http://w0.example/";
+  condition.num_value = 42;
+  condition.date_value = -7;
+  condition.cmp = alerters::Comparator::kGe;
+  condition.status = warehouse::DocStatus::kDeleted;
+  condition.change_op = xmldiff::ChangeOp::kDeleted;
+  condition.tag = "Item";
+  condition.word = "w";
+  condition.strict = true;
+  ipc::ReplicaOpMsg msg;
+  msg.seq = 9;
+  msg.op = ipc::ReplicaOpMsg::Op::kUnregisterComplex;
+  msg.id = 0xFFFFFFFEu;
+  msg.condition = condition;
+  msg.events = {2, 5, 11};
+  msg.binding.subscription = "Sub";
+  msg.binding.query_name = "Query";
+  msg.binding.select.kind = sublang::SelectClause::Kind::kVariable;
+  msg.binding.select.template_xml = "<t/>";
+  msg.binding.select.variable = "X";
+  msg.binding.from = sublang::MonitoringFrom{"X", "Item", false};
+  msg.binding.conditions = {condition, alerters::Condition{}};
+
+  ipc::ReplicaOpMsg got;
+  std::string p = msg.Encode();
+  ASSERT_TRUE(
+      ipc::ReplicaOpMsg::Decode(std::string_view(p).substr(1), &got).ok());
+  EXPECT_EQ(got.seq, 9u);
+  EXPECT_EQ(got.op, ipc::ReplicaOpMsg::Op::kUnregisterComplex);
+  EXPECT_EQ(got.id, 0xFFFFFFFEu);
+  EXPECT_EQ(got.condition.Key(), condition.Key());
+  EXPECT_EQ(got.condition.num_value, 42u);
+  EXPECT_EQ(got.condition.date_value, -7);
+  EXPECT_EQ(got.condition.status, warehouse::DocStatus::kDeleted);
+  EXPECT_EQ(got.condition.change_op, xmldiff::ChangeOp::kDeleted);
+  EXPECT_TRUE(got.condition.strict);
+  EXPECT_EQ(got.events, (mqp::EventSet{2, 5, 11}));
+  EXPECT_EQ(got.binding.subscription, "Sub");
+  EXPECT_EQ(got.binding.query_name, "Query");
+  EXPECT_EQ(got.binding.select.kind, sublang::SelectClause::Kind::kVariable);
+  EXPECT_EQ(got.binding.select.template_xml, "<t/>");
+  EXPECT_EQ(got.binding.select.variable, "X");
+  ASSERT_TRUE(got.binding.from.has_value());
+  EXPECT_EQ(got.binding.from->var, "X");
+  EXPECT_EQ(got.binding.from->tag, "Item");
+  EXPECT_FALSE(got.binding.from->descendant);
+  ASSERT_EQ(got.binding.conditions.size(), 2u);
+  EXPECT_EQ(got.binding.conditions[0].Key(), condition.Key());
+  EXPECT_EQ(got.binding.conditions[1].Key(), alerters::Condition{}.Key());
+  EXPECT_FALSE(got.binding.conditions[1].change_op.has_value());
+
+  // Out-of-range enum bytes are corruption, not a cast.
+  std::string bad = p;
+  bad[1 + 8] = static_cast<char>(4);  // op, after the type byte and seq
+  EXPECT_TRUE(ipc::ReplicaOpMsg::Decode(std::string_view(bad).substr(1), &got)
+                  .IsCorruption());
+}
+
 TEST(WireMessageTest, SmallMessagesRoundtrip) {
   {
     ipc::CmdAckMsg msg{11, 3, "nope"};
@@ -299,10 +361,32 @@ TEST(WireCorruptionTest, EveryBitFlipIsRejected) {
   }
 }
 
+/// A replica operation with every optional part present: an element
+/// condition with a change op and a word, a template select, a from clause.
+ipc::ReplicaOpMsg SampleReplicaOp() {
+  alerters::Condition condition{};
+  condition.kind = alerters::ConditionKind::kElementChange;
+  condition.change_op = xmldiff::ChangeOp::kUpdated;
+  condition.tag = "Product";
+  condition.word = "camera";
+  condition.strict = true;
+  ipc::ReplicaOpMsg msg;
+  msg.seq = 2;
+  msg.op = ipc::ReplicaOpMsg::Op::kRegisterComplex;
+  msg.id = 7;
+  msg.condition = condition;
+  msg.events = {1, 3};
+  msg.binding.subscription = "S";
+  msg.binding.query_name = "Q";
+  msg.binding.select.kind = sublang::SelectClause::Kind::kTemplate;
+  msg.binding.select.template_xml = "<n>$URL$</n>";
+  msg.binding.from = sublang::MonitoringFrom{"p", "Product", true};
+  msg.binding.conditions = {condition};
+  return msg;
+}
+
 TEST(WireCorruptionTest, TruncationsAreRejectedAtEveryLength) {
-  const std::string frame =
-      CaptureFrame(ipc::SubscribeMsg{1, 99, "subscription S\n", "a@x"}
-                       .Encode());
+  const std::string frame = CaptureFrame(SampleReplicaOp().Encode());
   for (size_t len = 0; len < frame.size(); ++len) {
     Status st = ReadRawFrame(frame.substr(0, len));
     EXPECT_FALSE(st.ok()) << "truncation at " << len << " accepted";
@@ -343,8 +427,7 @@ TEST(WireCorruptionTest, DecodersRejectTruncationAndSurviveBitFlips) {
           .Encode(),
       ipc::HelloAckMsg{1, 1234}.Encode(),
       ipc::OpenPartitionMsg{1, "wh.part0", 1, 1 << 20}.Encode(),
-      ipc::SubscribeMsg{2, 99, "subscription S\n", "a@x"}.Encode(),
-      ipc::UnsubscribeMsg{3, 99, "S"}.Encode(),
+      SampleReplicaOp().Encode(),
       ipc::DomainRuleMsg{4, "culture", "museum", "museum", "art"}.Encode(),
       ipc::CmdAckMsg{5, 0, ""}.Encode(),
       ipc::SlotMsg{6, 1, 0, 7, 99, "http://u", "<p/>"}.Encode(),
@@ -393,13 +476,9 @@ TEST(WireCorruptionTest, DecodersRejectTruncationAndSurviveBitFlips) {
         ipc::OpenPartitionMsg m;
         return ipc::OpenPartitionMsg::Decode(body, &m);
       }
-      case MsgType::kSubscribe: {
-        ipc::SubscribeMsg m;
-        return ipc::SubscribeMsg::Decode(body, &m);
-      }
-      case MsgType::kUnsubscribe: {
-        ipc::UnsubscribeMsg m;
-        return ipc::UnsubscribeMsg::Decode(body, &m);
+      case MsgType::kReplicaOp: {
+        ipc::ReplicaOpMsg m;
+        return ipc::ReplicaOpMsg::Decode(body, &m);
       }
       case MsgType::kDomainRule: {
         ipc::DomainRuleMsg m;
@@ -609,7 +688,10 @@ struct IpcRunResult {
   uint64_t documents = 0;
   uint64_t notifications = 0;
   uint64_t respawns = 0;
-  std::optional<testing::TreeShape> shape;
+  /// StatusReport() after the last round.
+  std::string status;
+  /// Complex events registered in the supervisor's own shards, all shards.
+  size_t local_complex_events = 0;
   bool probe_notified = false;
 };
 
@@ -669,7 +751,11 @@ IpcRunResult RunSeededWorkload(
   out.documents = (*monitor)->pipeline().total_document_count();
   out.notifications = (*monitor)->stats().notifications;
   out.respawns = (*monitor)->pipeline_stats().worker_respawns;
-  out.shape = testing::ShapeOf(**monitor);
+  out.status = (*monitor)->StatusReport();
+  for (size_t i = 0; i < (*monitor)->pipeline().shard_count(); ++i) {
+    out.local_complex_events +=
+        (*monitor)->pipeline().shard(i).mqp.matcher().size();
+  }
 
   // No acked subscription lost: a modified page must still notify.
   uint64_t before = (*monitor)->stats().notifications;
@@ -685,7 +771,6 @@ TEST(ProcessModeTest, TwoAndFourWorkersMatchInlineBitForBit) {
       RunSeededWorkload(ShardMode::kThread, 1, inline_dir.path);
   ASSERT_FALSE(inline_run.mail.empty());
   ASSERT_TRUE(inline_run.probe_notified);
-  ASSERT_TRUE(inline_run.shape.has_value());
 
   for (size_t workers : {size_t{2}, size_t{4}}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
@@ -697,9 +782,6 @@ TEST(ProcessModeTest, TwoAndFourWorkersMatchInlineBitForBit) {
     EXPECT_EQ(run.notifications, inline_run.notifications);
     EXPECT_EQ(run.respawns, 0u);
     EXPECT_TRUE(run.probe_notified);
-    ASSERT_TRUE(run.shape.has_value());
-    EXPECT_TRUE(*run.shape == *inline_run.shape)
-        << "MQP tree shape diverged from the inline build";
   }
 }
 
@@ -734,6 +816,105 @@ TEST(ProcessModeTest, StatusReportListsWorkersOnlyInProcessMode) {
   XylemeMonitor thread_monitor(&clock2);
   EXPECT_EQ(thread_monitor.StatusReport().find("<Worker"),
             std::string::npos);
+}
+
+/// The value of `attr` on the first `<element ...>` row of a status report,
+/// "" if the row or the attribute is absent.
+std::string ReportAttr(const std::string& report, const std::string& element,
+                       const std::string& attr) {
+  const size_t row = report.find("<" + element + " ");
+  if (row == std::string::npos) return "";
+  const size_t end = report.find('>', row);
+  const std::string key = " " + attr + "=\"";
+  size_t at = report.find(key, row);
+  if (at == std::string::npos || at > end) return "";
+  at += key.size();
+  return report.substr(at, report.find('"', at) - at);
+}
+
+// The <MQP> row describes the fleet, not the supervisor's idle local shards:
+// worker processes report what a thread shard reports, and the matcher's
+// memory is only reported where the matcher lives.
+TEST(ProcessModeTest, MqpStatusRowMatchesThreadMode) {
+  TempDir thread_dir("mqp_row_thread");
+  IpcRunResult thread_run =
+      RunSeededWorkload(ShardMode::kThread, 1, thread_dir.path);
+  TempDir dir("mqp_row_p2");
+  IpcRunResult run = RunSeededWorkload(ShardMode::kProcess, 2, dir.path);
+
+  const std::string matched =
+      ReportAttr(thread_run.status, "MQP", "documents_matched");
+  ASSERT_NE(matched, "");
+  ASSERT_NE(matched, "0");
+  EXPECT_EQ(ReportAttr(run.status, "MQP", "documents_matched"), matched);
+  EXPECT_NE(ReportAttr(thread_run.status, "MQP", "complex_events"), "0");
+  EXPECT_EQ(ReportAttr(run.status, "MQP", "complex_events"),
+            ReportAttr(thread_run.status, "MQP", "complex_events"));
+  EXPECT_NE(ReportAttr(thread_run.status, "MQP", "memory_bytes"), "");
+  EXPECT_EQ(ReportAttr(run.status, "MQP", "memory_bytes"), "");
+}
+
+constexpr char kSub0OnW1[] = R"(subscription Sub0
+monitoring
+select <Changed url=URL/>
+where URL extends "http://w1.example/" and modified self
+report when immediate
+)";
+
+/// Three rounds of the 12 versioned sweep pages; before round 2 the
+/// subscriptions change straight through monitor.manager(), bypassing the
+/// monitor's own entry points: Sub0 moves to another URL prefix and a
+/// registered user subscribes Sub1.
+std::vector<std::pair<std::string, std::string>> RunManagerMutationWorkload(
+    ShardMode mode, size_t shards, const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> mail;
+  SimClock clock(1000);
+  auto monitor = XylemeMonitor::Open(&clock, IpcOptions(mode, shards, dir));
+  EXPECT_TRUE(monitor.ok()) << monitor.status().ToString();
+  if (!monitor.ok()) return mail;
+  XylemeMonitor& m = **monitor;
+  EXPECT_TRUE(m.Subscribe(testing::SweepSubText(0), "u0@x").ok());
+  EXPECT_TRUE(m.AddUser({"ann", "ann@x", /*privileged=*/false}).ok());
+  for (int round = 1; round <= 3; ++round) {
+    if (round == 2) {
+      Status modified = m.manager().Modify("Sub0", kSub0OnW1);
+      EXPECT_TRUE(modified.ok()) << modified.ToString();
+      auto added = m.manager().SubscribeAs("ann", testing::SweepSubText(1));
+      EXPECT_TRUE(added.ok()) << added.status().ToString();
+    }
+    std::vector<webstub::FetchedDoc> batch;
+    for (int j = 0; j < 12; ++j) {
+      batch.push_back({testing::SweepUrl(j), testing::SweepBody(j, round)});
+    }
+    m.ProcessFetchBatch(batch);
+    clock.Advance(kDay);
+    m.Tick();
+  }
+  for (const reporter::Email& email : m.outbox().sent()) {
+    mail.emplace_back(email.to, email.body);
+  }
+  return mail;
+}
+
+TEST(ProcessModeTest, ManagerMutationsReachTheWorkers) {
+  TempDir thread_dir("mgr_thread");
+  auto thread_mail =
+      RunManagerMutationWorkload(ShardMode::kThread, 1, thread_dir.path);
+  // The control mails both mutations: Sub0's new prefix and ann's Sub1.
+  auto mails_about = [&thread_mail](const std::string& needle) {
+    return std::count_if(thread_mail.begin(), thread_mail.end(),
+                         [&needle](const auto& mail) {
+                           return mail.first == needle ||
+                                  mail.second.find(needle) !=
+                                      std::string::npos;
+                         });
+  };
+  ASSERT_GT(mails_about("http://w1.example/"), 0);
+  ASSERT_GT(mails_about("ann@x"), 0);
+
+  TempDir dir("mgr_p2");
+  EXPECT_EQ(RunManagerMutationWorkload(ShardMode::kProcess, 2, dir.path),
+            thread_mail);
 }
 
 TEST(ProcessModeTest, MissingWorkerBinaryFailsOpen) {
@@ -892,6 +1073,81 @@ TEST(KillSweepTest, SigkillAtEveryBatchBoundaryRespawnsFromStorage) {
   EXPECT_EQ(run.documents, control.documents);
   EXPECT_EQ(run.respawns, static_cast<uint64_t>(kills));
   EXPECT_TRUE(run.probe_notified);
+}
+
+// Churn between rounds (unsubscribe, subscribe, re-subscribe a removed
+// name), then SIGKILL: a respawned worker is rebuilt from the manager's
+// live state, not from the history, and still mails what the unkilled
+// control mails. In round 3 the kill comes first, so the churn's replica
+// operations reach a dead worker and only the rebuild carries them.
+TEST(KillSweepTest, SigkillAfterSubscriptionChurnRebuildsFromLiveState) {
+  const size_t kWorkers = 2;
+  auto churn = [](XylemeMonitor& monitor, int round) {
+    auto subscribe = [&monitor](int i) {
+      EXPECT_TRUE(monitor
+                      .Subscribe(testing::SweepSubText(i),
+                                 "u" + std::to_string(i) + "@x")
+                      .ok())
+          << "Sub" << i;
+    };
+    auto unsubscribe = [&monitor](int i) {
+      EXPECT_TRUE(monitor.Unsubscribe("Sub" + std::to_string(i)).ok())
+          << "Sub" << i;
+    };
+    switch (round) {
+      case 1:
+        unsubscribe(1);
+        subscribe(4);
+        break;
+      case 2:
+        subscribe(1);  // a removed name, back
+        unsubscribe(4);
+        subscribe(5);
+        break;
+      case 3:
+        unsubscribe(2);
+        subscribe(4);  // removed in round 2, back
+        unsubscribe(5);
+        break;
+    }
+  };
+  TempDir control_dir("churn_control");
+  IpcRunResult control = RunSeededWorkload(ShardMode::kProcess, kWorkers,
+                                           control_dir.path, churn);
+  ASSERT_FALSE(control.mail.empty());
+
+  int kills = 0;
+  auto kill_one = [&](XylemeMonitor& monitor, int round) {
+    size_t victim = static_cast<size_t>(round) % kWorkers;
+    int pid = monitor.pipeline().worker_pid(victim);
+    ASSERT_GT(pid, 0);
+    ASSERT_EQ(kill(pid, SIGKILL), 0);
+    ++kills;
+    ASSERT_TRUE(WaitFor(
+        [&] {
+          monitor.pipeline().PollWorkers();
+          return !monitor.pipeline_stats().workers[victim].alive;
+        },
+        5000))
+        << "supervisor never noticed the SIGKILL";
+  };
+  auto churn_and_kill = [&](XylemeMonitor& monitor, int round) {
+    if (round == 3) kill_one(monitor, round);
+    churn(monitor, round);
+    if (round == 2) kill_one(monitor, round);
+  };
+
+  TempDir dir("churn_kill");
+  IpcRunResult run = RunSeededWorkload(ShardMode::kProcess, kWorkers,
+                                       dir.path, churn_and_kill);
+  EXPECT_EQ(kills, 2);
+  EXPECT_EQ(run.mail, control.mail);
+  EXPECT_EQ(run.documents, control.documents);
+  EXPECT_EQ(run.respawns, static_cast<uint64_t>(kills));
+  EXPECT_TRUE(run.probe_notified);
+  // The supervisor's own shards never see a registration in process mode.
+  EXPECT_EQ(run.local_complex_events, 0u);
+  EXPECT_EQ(control.local_complex_events, 0u);
 }
 
 TEST(KillSweepTest, MidBatchWedgeIsKilledByHeartbeatAndRespawned) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
@@ -28,11 +29,13 @@ class ManagerTest : public ::testing::Test {
  protected:
   ManagerTest()
       : pipeline_(&url_alerter_, &xml_alerter_, &html_alerter_),
+        replica_(&mqp_, &url_alerter_, &xml_alerter_, &html_alerter_,
+                 &pipeline_),
         query_engine_(&warehouse_),
         reporter_(&outbox_, &query_engine_),
         manager_(SubscriptionManager::Components{
-            &mqp_, &url_alerter_, &xml_alerter_, &html_alerter_, &pipeline_,
-            &trigger_engine_, &reporter_, &query_engine_, &clock_}) {}
+            &trigger_engine_, &reporter_, &query_engine_, &clock_,
+            {&replica_}}) {}
 
   SimClock clock_;
   warehouse::Warehouse warehouse_;
@@ -41,6 +44,7 @@ class ManagerTest : public ::testing::Test {
   alerters::XmlAlerter xml_alerter_;
   alerters::HtmlAlerter html_alerter_;
   alerters::AlertPipeline pipeline_;
+  LocalReplica replica_;
   trigger::TriggerEngine trigger_engine_;
   reporter::Outbox outbox_;
   query::QueryEngine query_engine_;
@@ -238,10 +242,8 @@ TEST_F(ManagerTest, SubscribeAsHonorsUserPrivileges) {
   sublang::ValidatorOptions opts;
   opts.max_cost = 50;  // Hourly continuous queries cost far more.
   SubscriptionManager manager(
-      SubscriptionManager::Components{&mqp_, &url_alerter_, &xml_alerter_,
-                                      &html_alerter_, &pipeline_,
-                                      &trigger_engine_, &reporter_,
-                                      &query_engine_, &clock_},
+      SubscriptionManager::Components{&trigger_engine_, &reporter_,
+                                      &query_engine_, &clock_, {&replica_}},
       opts);
   manager.set_user_registry(&users);
 
@@ -262,6 +264,82 @@ report when immediate
   // Cheap subscriptions pass for everyone.
   auto cheap = manager.SubscribeAs("alice", kSimpleSub);
   EXPECT_TRUE(cheap.ok()) << cheap.status().ToString();
+}
+
+/// A replica that logs every operation it receives and can refuse the
+/// `fail_at`-th Register (1-based; 0 = never).
+class RecordingReplica : public DetectionReplica {
+ public:
+  Status RegisterCondition(mqp::AtomicEvent code,
+                           const alerters::Condition&) override {
+    return Record("+c" + std::to_string(code));
+  }
+  void UnregisterCondition(mqp::AtomicEvent code,
+                           const alerters::Condition&) override {
+    log.push_back("-c" + std::to_string(code));
+  }
+  Status RegisterComplex(mqp::ComplexEventId id, const mqp::EventSet&,
+                         const QueryBinding& binding) override {
+    return Record("+e" + std::to_string(id) + ":" + binding.subscription);
+  }
+  void UnregisterComplex(mqp::ComplexEventId id) override {
+    log.push_back("-e" + std::to_string(id));
+  }
+
+  std::vector<std::string> log;
+  int fail_at = 0;
+
+ private:
+  Status Record(std::string op) {
+    if (++registers_ == fail_at) return Status::Unavailable("refused " + op);
+    log.push_back(std::move(op));
+    return Status::OK();
+  }
+  int registers_ = 0;
+};
+
+// A replica refusing a registration fails the subscription, and every
+// replica before it is rolled back: the manager's fan-out is all or
+// nothing across shards.
+TEST_F(ManagerTest, RefusingReplicaRollsBackEveryReplica) {
+  RecordingReplica second;
+  SubscriptionManager manager(SubscriptionManager::Components{
+      &trigger_engine_, &reporter_, &query_engine_, &clock_,
+      {&replica_, &second}});
+  second.fail_at = 3;  // the complex event, after both condition codes
+  auto r = manager.Subscribe(kSimpleSub, "u@x");
+  EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
+  EXPECT_EQ(manager.subscription_count(), 0u);
+  EXPECT_EQ(manager.atomic_event_count(), 0u);
+  EXPECT_EQ(manager.complex_event_count(), 0u);
+  EXPECT_EQ(url_alerter_.condition_count(), 0u);
+  EXPECT_EQ(xml_alerter_.condition_count(), 0u);
+  EXPECT_EQ(mqp_.matcher().size(), 0u);
+  EXPECT_EQ(second.log,
+            (std::vector<std::string>{"+c1", "+c2", "-c1", "-c2"}));
+}
+
+// RebindReplica registers exactly the live set — codes before complex
+// events, with the manager's ids — whatever history produced it.
+TEST_F(ManagerTest, RebindReplicaRegistersExactlyTheLiveSet) {
+  ASSERT_TRUE(manager_.Subscribe(kSimpleSub, "a@x").ok());
+  ASSERT_TRUE(manager_.Subscribe(kOtherSub, "b@x").ok());
+  ASSERT_TRUE(manager_.Unsubscribe("Simple").ok());
+  ASSERT_TRUE(manager_.Subscribe(kSimpleSub, "a@x").ok());
+
+  RecordingReplica fresh;
+  ASSERT_TRUE(manager_.RebindReplica(0, &fresh).ok());
+  // Other holds code 1 (the shared URL prefix) and 3, complex event 2;
+  // the re-subscribed Simple got code 4 and complex event 3.
+  ASSERT_EQ(fresh.log.size(), 5u);
+  std::sort(fresh.log.begin(), fresh.log.begin() + 3);
+  std::sort(fresh.log.begin() + 3, fresh.log.end());
+  EXPECT_EQ(fresh.log, (std::vector<std::string>{"+c1", "+c3", "+c4",
+                                                 "+e2:Other", "+e3:Simple"}));
+  EXPECT_TRUE(manager_.RebindReplica(1, &fresh).IsInvalidArgument());
+  // Later registrations reach the rebound replica.
+  ASSERT_TRUE(manager_.Unsubscribe("Other").ok());
+  EXPECT_EQ(fresh.log.back(), "-c3");
 }
 
 class ManagerPersistenceTest : public ::testing::Test {
@@ -289,12 +367,13 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
     alerters::XmlAlerter xml;
     alerters::HtmlAlerter html;
     alerters::AlertPipeline pipeline(&url, &xml, &html);
+    LocalReplica replica(&mqp, &url, &xml, &html, &pipeline);
     trigger::TriggerEngine te;
     reporter::Outbox outbox;
     query::QueryEngine qe(&wh);
     reporter::Reporter rep(&outbox, &qe);
     SubscriptionManager mgr(SubscriptionManager::Components{
-        &mqp, &url, &xml, &html, &pipeline, &te, &rep, &qe, &clock});
+        &te, &rep, &qe, &clock, {&replica}});
     ASSERT_TRUE(mgr.AttachStorage(path).ok());
     ASSERT_TRUE(mgr.Subscribe(kSimpleSub, "a@x").ok());
     ASSERT_TRUE(mgr.Subscribe(kOtherSub, "b@x").ok());
@@ -310,12 +389,13 @@ TEST_F(ManagerPersistenceTest, SubscriptionsSurviveRestart) {
   alerters::XmlAlerter xml;
   alerters::HtmlAlerter html;
   alerters::AlertPipeline pipeline(&url, &xml, &html);
+  LocalReplica replica(&mqp, &url, &xml, &html, &pipeline);
   trigger::TriggerEngine te;
   reporter::Outbox outbox;
   query::QueryEngine qe(&wh);
   reporter::Reporter rep(&outbox, &qe);
   SubscriptionManager mgr(SubscriptionManager::Components{
-      &mqp, &url, &xml, &html, &pipeline, &te, &rep, &qe, &clock});
+      &te, &rep, &qe, &clock, {&replica}});
   ASSERT_TRUE(mgr.AttachStorage(path).ok());
   EXPECT_EQ(mgr.subscription_count(), 1u);
   EXPECT_EQ(mqp.matcher().size(), 1u);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -8,6 +10,7 @@
 #include "src/mqp/brute_matcher.h"
 #include "src/mqp/counting_matcher.h"
 #include "src/mqp/map_aes_matcher.h"
+#include "src/mqp/partitioned_matcher.h"
 #include "src/mqp/processor.h"
 #include "src/mqp/workload.h"
 
@@ -366,6 +369,59 @@ TEST(ProcessorTest, EmitsNotificationEnvelope) {
   EXPECT_EQ(out[0].docid, 55u);
   EXPECT_EQ(out[0].url, "http://x/");
   EXPECT_EQ(out[0].info_xml, "<doc/>");
+}
+
+// The emission order is a contract (DESIGN.md §11): a processor that has
+// seen registrations come and go emits, document by document, exactly the
+// sequence a processor rebuilt from the live set emits — what a restarted
+// shard relies on. Ids are allocated monotonically, as the Subscription
+// Manager does; the rebuild registers the live ones in ascending id order,
+// as SubscriptionManager::RebindReplica does.
+TEST(ProcessorTest, ChurnedAndRebuiltProcessorsEmitTheSameSequence) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    WorkloadParams wp;
+    wp.card_a = 40;
+    wp.card_c = 400;
+    wp.d = 3;
+    wp.s = 15;
+    wp.seed = seed;
+    WorkloadGenerator gen(wp);
+    const auto sets = gen.GenerateComplexEvents();
+
+    MonitoringQueryProcessor churned;
+    std::map<ComplexEventId, EventSet> live;
+    Rng rng(seed);
+    ComplexEventId next_id = 1;
+    for (int op = 0; op < 600; ++op) {
+      if (!live.empty() && rng.Uniform(3) == 0) {
+        auto it = live.begin();
+        std::advance(it, rng.Uniform(live.size()));
+        ASSERT_TRUE(churned.Unregister(it->first).ok());
+        live.erase(it);
+      } else {
+        const EventSet& events = sets[rng.Uniform(sets.size())];
+        ASSERT_TRUE(churned.Register(next_id, events).ok());
+        live.emplace(next_id++, events);
+      }
+    }
+    MonitoringQueryProcessor rebuilt;
+    for (const auto& [id, events] : live) {
+      ASSERT_TRUE(rebuilt.Register(id, events).ok());
+    }
+
+    for (const EventSet& doc : gen.GenerateDocuments(30)) {
+      AlertMessage alert;
+      alert.events = doc;
+      std::vector<MqpNotification> a, b;
+      churned.Process(alert, &a);
+      rebuilt.Process(alert, &b);
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].complex_event, b[i].complex_event) << "position " << i;
+      }
+    }
+  }
 }
 
 TEST(PartitionedMatcherTest, MatchesAcrossPartitionsAndBalances) {
