@@ -7,8 +7,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <mutex>
 
 #include "src/storage/log_store.h"
@@ -119,6 +121,15 @@ bool WireReader::Str(std::string* out) {
   // allocation — a bit-flipped length cannot drive an oversized reserve.
   if (data_.size() - pos_ < len) return ok_ = false;
   out->assign(data_.data() + pos_, len);
+  pos_ += len;
+  return true;
+}
+
+bool WireReader::View(std::string_view* out) {
+  uint32_t len = 0;
+  if (!U32(&len)) return false;
+  if (data_.size() - pos_ < len) return ok_ = false;
+  *out = data_.substr(pos_, len);
   pos_ += len;
   return true;
 }
@@ -294,6 +305,7 @@ std::string ReplicaOpMsg::Encode() const {
   for (const alerters::Condition& c : binding.conditions) {
     EncodeCondition(&w, c);
   }
+  w.U32(binding.slot);
   return w.Take();
 }
 
@@ -329,6 +341,7 @@ Status ReplicaOpMsg::Decode(std::string_view body, ReplicaOpMsg* out) {
       return CorruptMsg("ReplicaOp binding");
     }
   }
+  if (!r.U32(&b.slot)) return CorruptMsg("ReplicaOp binding");
   if (!r.AtEnd()) return CorruptMsg("ReplicaOp (trailing bytes)");
   out->op = static_cast<Op>(op);
   b.select.kind = static_cast<sublang::SelectClause::Kind>(select_kind);
@@ -399,6 +412,40 @@ Status SlotMsg::Decode(std::string_view body, SlotMsg* out) {
   return Status::OK();
 }
 
+namespace {
+
+/// The distinct strings of one SlotResult in first-use order, each with its
+/// index: open addressing over at most `capacity` strings, no allocation
+/// per entry.
+class StringTable {
+ public:
+  explicit StringTable(size_t capacity)
+      : buckets_(std::bit_ceil(capacity * 2 + 1), 0) {
+    entries_.reserve(capacity);
+  }
+
+  uint32_t Intern(std::string_view s) {
+    const size_t mask = buckets_.size() - 1;
+    for (size_t i = std::hash<std::string_view>{}(s) & mask;;
+         i = (i + 1) & mask) {
+      uint32_t& bucket = buckets_[i];  // entry index + 1; 0 = empty
+      if (bucket == 0) {
+        entries_.push_back(s);
+        bucket = static_cast<uint32_t>(entries_.size());
+        return bucket - 1;
+      }
+      if (entries_[bucket - 1] == s) return bucket - 1;
+    }
+  }
+  const std::vector<std::string_view>& entries() const { return entries_; }
+
+ private:
+  std::vector<uint32_t> buckets_;
+  std::vector<std::string_view> entries_;
+};
+
+}  // namespace
+
 std::string SlotResultMsg::Encode() const {
   WireWriter w;
   w.U8(static_cast<uint8_t>(MsgType::kSlotResult));
@@ -411,13 +458,22 @@ std::string SlotResultMsg::Encode() const {
   w.Str(failed_stage);
   w.U8(status_code);
   w.Str(status_message);
-  w.U32(static_cast<uint32_t>(actions.size()));
+  // The string table, in first-use order, then the actions as indexes.
+  StringTable table(actions.size() * 4);
+  std::vector<uint32_t> refs;
+  refs.reserve(actions.size() * 4);
   for (const WireAction& a : actions) {
-    w.U8(a.kind);
-    w.Str(a.subscription);
-    w.Str(a.query_name);
-    w.Str(a.payload_xml);
-    w.Str(a.event_key);
+    for (const SharedString* field :
+         {&a.subscription, &a.query_name, &a.payload_xml, &a.event_key}) {
+      refs.push_back(table.Intern(*field));
+    }
+  }
+  w.U32(static_cast<uint32_t>(table.entries().size()));
+  for (std::string_view entry : table.entries()) w.Str(entry);
+  w.U32(static_cast<uint32_t>(actions.size()));
+  for (size_t i = 0; i < actions.size(); ++i) {
+    w.U8(actions[i].kind);
+    for (size_t f = 0; f < 4; ++f) w.U32(refs[i * 4 + f]);
   }
   for (const WireStageDelta* d : {&ingest, &detect, &match, &notify}) {
     w.U64(d->documents);
@@ -429,19 +485,36 @@ std::string SlotResultMsg::Encode() const {
 
 Status SlotResultMsg::Decode(std::string_view body, SlotResultMsg* out) {
   WireReader r(body);
-  uint32_t n = 0;
+  uint32_t strings = 0, n = 0;
   if (!r.U64(&out->batch) || !r.U32(&out->slot) || !r.U8(&out->processed) ||
       !r.U8(&out->degraded) || !r.U8(&out->alert) || !r.U8(&out->failed) ||
       !r.Str(&out->failed_stage) || !r.U8(&out->status_code) ||
-      !r.Str(&out->status_message) || !r.U32(&n)) {
+      !r.Str(&out->status_message) || !r.U32(&strings)) {
     return CorruptMsg("SlotResult");
   }
+  // Counts are never reserved up front (see ReplicaOpMsg::Decode).
+  std::vector<SharedString> table;
+  for (uint32_t i = 0; i < strings; ++i) {
+    std::string_view entry;
+    if (!r.View(&entry)) return CorruptMsg("SlotResult string table");
+    table.emplace_back(entry);
+  }
+  if (!r.U32(&n)) return CorruptMsg("SlotResult");
   out->actions.clear();
   for (uint32_t i = 0; i < n; ++i) {
     WireAction a;
-    if (!r.U8(&a.kind) || !r.Str(&a.subscription) || !r.Str(&a.query_name) ||
-        !r.Str(&a.payload_xml) || !r.Str(&a.event_key)) {
-      return CorruptMsg("SlotResult action");
+    if (!EnumU8(&r, 1, &a.kind)) return CorruptMsg("SlotResult action");
+    for (SharedString* field :
+         {&a.subscription, &a.query_name, &a.payload_xml, &a.event_key}) {
+      uint32_t ref = 0;
+      if (!r.U32(&ref)) return CorruptMsg("SlotResult action");
+      if (ref >= table.size()) {
+        return Status::Corruption(
+            "wire: SlotResult action " + std::to_string(i) +
+            " names string " + std::to_string(ref) + " of a table of " +
+            std::to_string(table.size()));
+      }
+      *field = table[ref];
     }
     out->actions.push_back(std::move(a));
   }

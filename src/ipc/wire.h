@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/shared_string.h"
 #include "src/common/status.h"
 #include "src/manager/replica.h"
 
@@ -35,7 +36,7 @@ namespace xymon::ipc {
 
 /// "XYMW" — first field of the handshake frame.
 inline constexpr uint32_t kWireMagic = 0x58594D57;
-inline constexpr uint32_t kWireVersion = 3;
+inline constexpr uint32_t kWireVersion = 4;
 /// Frame-length cap, mirroring storage::kMaxLogRecordLen: a corrupt length
 /// field cannot drive an unbounded allocation.
 inline constexpr uint32_t kMaxFrameLen = 64u << 20;  // 64 MiB
@@ -93,6 +94,8 @@ class WireReader {
   bool U64(uint64_t* out);
   bool I64(int64_t* out);
   bool Str(std::string* out);
+  /// A string field as a view into the payload (valid while it is).
+  bool View(std::string_view* out);
   bool ok() const { return ok_; }
   bool AtEnd() const { return ok_ && pos_ == data_.size(); }
 
@@ -206,10 +209,10 @@ struct SlotMsg {
 /// system::DeliveryAction over the wire.
 struct WireAction {
   uint8_t kind = 0;  // DeliveryAction::Kind
-  std::string subscription;
-  std::string query_name;
-  std::string payload_xml;
-  std::string event_key;
+  SharedString subscription;
+  SharedString query_name;
+  SharedString payload_xml;
+  SharedString event_key;
 };
 
 struct WireStageDelta {
@@ -217,6 +220,11 @@ struct WireStageDelta {
   uint64_t micros = 0;
 };
 
+/// The actions travel as a string table plus four indexes per action: each
+/// distinct string — a document's shared payload, a query's names — is
+/// sent once per slot result, and decodes to one SharedString that every
+/// action naming it shares (DESIGN.md §15). An index past the table is
+/// Corruption.
 struct SlotResultMsg {
   uint64_t batch = 0;
   uint32_t slot = 0;

@@ -19,10 +19,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/ipc/wire.h"
+#include "src/manager/delivery_table.h"
 #include "src/manager/replica.h"
 #include "src/storage/persistent_map.h"
 #include "src/system/binding_resolver.h"
@@ -93,11 +93,11 @@ class RemoteDtdRegistry : public warehouse::DtdRegistry {
 
 /// The worker's component stack: one PipelineShard and the shared stage-4a
 /// BindingResolver. Everything else lives supervisor-side — the
-/// Subscription Manager chooses the codes and ids and sends each
+/// Subscription Manager chooses the codes, ids and slots and sends each
 /// registration as a ReplicaOp, which the worker applies through the
 /// shard's LocalReplica exactly as a thread-mode shard receives it; the
-/// worker keeps only the bindings its resolver reads.
-class WorkerRuntime : public manager::BindingLookup {
+/// worker keeps only the delivery table its resolver reads.
+class WorkerRuntime {
  public:
   WorkerRuntime(int fd, HelloMsg hello) : fd_(fd), hello_(std::move(hello)) {
     system::StageFaultPlan plan;
@@ -126,12 +126,6 @@ class WorkerRuntime : public manager::BindingLookup {
       shard_->match_stage = std::make_unique<system::FaultyMatchStage>(
           std::move(shard_->match_stage), &injector_);
     }
-  }
-
-  const manager::QueryBinding* FindBinding(
-      mqp::ComplexEventId id) const override {
-    auto it = bindings_.find(id);
-    return it == bindings_.end() ? nullptr : &it->second;
   }
 
   int Run() {
@@ -225,11 +219,11 @@ class WorkerRuntime : public manager::BindingLookup {
         break;
       case ReplicaOpMsg::Op::kRegisterComplex:
         status = replica.RegisterComplex(msg.id, msg.events, msg.binding);
-        if (status.ok()) bindings_[msg.id] = std::move(msg.binding);
+        if (status.ok()) delivery_.Add(msg.id, std::move(msg.binding));
         break;
       case ReplicaOpMsg::Op::kUnregisterComplex:
         replica.UnregisterComplex(msg.id);
-        bindings_.erase(msg.id);
+        delivery_.Remove(msg.id);
         break;
     }
     Ack(msg.seq, status);
@@ -269,14 +263,12 @@ class WorkerRuntime : public manager::BindingLookup {
     result.failed_stage = std::move(out.failed_stage);
     result.status_code = static_cast<uint8_t>(out.status.code());
     result.status_message = out.status.message();
+    result.actions.reserve(out.actions.size());
     for (system::DeliveryAction& action : out.actions) {
-      WireAction wa;
-      wa.kind = static_cast<uint8_t>(action.kind);
-      wa.subscription = std::move(action.subscription);
-      wa.query_name = std::move(action.query_name);
-      wa.payload_xml = std::move(action.payload_xml);
-      wa.event_key = std::move(action.event_key);
-      result.actions.push_back(std::move(wa));
+      result.actions.push_back(WireAction{
+          static_cast<uint8_t>(action.kind), std::move(action.subscription),
+          std::move(action.query_name), std::move(action.payload_xml),
+          std::move(action.event_key)});
     }
     auto delta = [](const system::StageCounters& before,
                     const system::StageCounters& after) {
@@ -351,9 +343,10 @@ class WorkerRuntime : public manager::BindingLookup {
   std::unique_ptr<RemoteDtdRegistry> dtd_registry_;
   std::unique_ptr<system::PipelineShard> shard_;
   std::optional<storage::PersistentMap> store_;
-  /// The binding of every registered complex event (what resolver_ reads).
-  std::unordered_map<mqp::ComplexEventId, manager::QueryBinding> bindings_;
-  system::BindingResolver resolver_{this};
+  /// The delivery target of every registered complex event (what
+  /// resolver_ reads).
+  manager::DeliveryTable delivery_;
+  system::BindingResolver resolver_{&delivery_};
 };
 
 int WorkerMain(int argc, char** argv) {

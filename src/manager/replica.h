@@ -22,15 +22,10 @@ struct QueryBinding {
   sublang::SelectClause select;
   std::optional<sublang::MonitoringFrom> from;
   std::vector<alerters::Condition> conditions;
-};
-
-/// What stage 4a reads to turn a fired complex event into a notification
-/// (binding or nullptr): the Subscription Manager, or in a shard worker
-/// process the bindings its replica operations carried.
-class BindingLookup {
- public:
-  virtual ~BindingLookup() = default;
-  virtual const QueryBinding* FindBinding(mqp::ComplexEventId id) const = 0;
+  /// The monitoring query's delivery slot, chosen by the manager: the same
+  /// for every complex event (disjunct) of the query, unique among live
+  /// queries, reused after the query goes (DeliveryTable).
+  uint32_t slot = 0;
 };
 
 /// One shard's detection structures as the Subscription Manager sees them

@@ -78,10 +78,10 @@ void SubscriptionManager::UnregisterCondition(mqp::AtomicEvent code,
 }
 
 Status SubscriptionManager::RegisterComplex(mqp::ComplexEventId id,
-                                            ComplexDef def) {
+                                            const mqp::EventSet& events,
+                                            QueryBinding binding) {
   for (size_t i = 0; i < components_.replicas.size(); ++i) {
-    Status st =
-        components_.replicas[i]->RegisterComplex(id, def.events, def.binding);
+    Status st = components_.replicas[i]->RegisterComplex(id, events, binding);
     if (!st.ok()) {
       for (size_t j = 0; j < i; ++j) {
         components_.replicas[j]->UnregisterComplex(id);
@@ -89,7 +89,7 @@ Status SubscriptionManager::RegisterComplex(mqp::ComplexEventId id,
       return st;
     }
   }
-  complex_.emplace(id, std::move(def));
+  delivery_.Add(id, std::move(binding));
   return Status::OK();
 }
 
@@ -97,7 +97,7 @@ void SubscriptionManager::UnregisterComplex(mqp::ComplexEventId id) {
   for (DetectionReplica* replica : components_.replicas) {
     replica->UnregisterComplex(id);
   }
-  complex_.erase(id);
+  delivery_.Remove(id);
 }
 
 Status SubscriptionManager::RebindReplica(size_t shard_index,
@@ -114,9 +114,11 @@ Status SubscriptionManager::RebindReplica(size_t shard_index,
     XYMON_RETURN_IF_ERROR(replica->RegisterCondition(entry.code,
                                                      entry.condition));
   }
-  for (const auto& [id, def] : complex_) {
-    XYMON_RETURN_IF_ERROR(replica->RegisterComplex(id, def.events,
-                                                   def.binding));
+  for (const auto& [name, record] : subs_) {
+    for (const auto& [id, events] : record.complex_events) {
+      XYMON_RETURN_IF_ERROR(
+          replica->RegisterComplex(id, events, *delivery_.FindBinding(id)));
+    }
   }
   return Status::OK();
 }
@@ -168,8 +170,9 @@ Status SubscriptionManager::WireContinuousQuery(
 
   auto* engine = components_.query_engine;
   auto* rep = components_.reporter;
-  std::string cq_name = cq.name;
-  auto action = [engine, rep, shared_query, tracker, sub_name,
+  SharedString subscription = sub_name;
+  SharedString cq_name = cq.name;
+  auto action = [engine, rep, shared_query, tracker, subscription,
                  cq_name](Timestamp now) {
     auto result = engine->Evaluate(*shared_query);
     if (!result.ok()) return;
@@ -179,7 +182,7 @@ Status SubscriptionManager::WireContinuousQuery(
       if (payload == nullptr) return;  // Result unchanged: nothing to report.
     }
     rep->AddNotification(reporter::Notification{
-        sub_name, cq_name, xml::Serialize(*payload), now});
+        subscription, cq_name, xml::Serialize(*payload), now});
   };
 
   trigger::TriggerEngine::TriggerId id;
@@ -196,7 +199,7 @@ Status SubscriptionManager::WireContinuousQuery(
 }
 
 void SubscriptionManager::RollbackSubscription(SubRecord* record) {
-  for (mqp::ComplexEventId id : record->complex_events) {
+  for (const auto& [id, events] : record->complex_events) {
     UnregisterComplex(id);
   }
   for (const std::string& key : record->condition_keys) {
@@ -205,6 +208,9 @@ void SubscriptionManager::RollbackSubscription(SubRecord* record) {
   for (trigger::TriggerEngine::TriggerId id : record->triggers) {
     (void)components_.trigger_engine->Remove(id);
   }
+  free_slots_.insert(free_slots_.end(), record->slots.begin(),
+                     record->slots.end());
+  record->slots.clear();
 }
 
 Result<std::string> SubscriptionManager::SubscribeInternal(
@@ -244,6 +250,14 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
   // 1. Monitoring queries -> atomic codes + complex events, one complex
   // event per disjunct of the where clause.
   for (const sublang::MonitoringQueryAst& mq : ast.monitoring) {
+    uint32_t slot = next_slot_;
+    if (free_slots_.empty()) {
+      ++next_slot_;
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    record.slots.push_back(slot);
     for (const auto& disjunct : mq.disjuncts) {
       mqp::EventSet events;
       for (const Condition& condition : disjunct) {
@@ -259,15 +273,13 @@ Result<std::string> SubscriptionManager::SubscribeInternal(
 
       mqp::ComplexEventId complex_id = next_complex_++;
       Status st = RegisterComplex(
-          complex_id,
-          ComplexDef{std::move(events), QueryBinding{ast.name, mq.name,
-                                                     mq.select, mq.from,
-                                                     disjunct}});
+          complex_id, events,
+          QueryBinding{ast.name, mq.name, mq.select, mq.from, disjunct, slot});
       if (!st.ok()) {
         RollbackSubscription(&record);
         return st;
       }
-      record.complex_events.push_back(complex_id);
+      record.complex_events.emplace_back(complex_id, std::move(events));
     }
   }
 
@@ -409,12 +421,6 @@ const std::string* SubscriptionManager::subscription_text(
     const std::string& name) const {
   auto it = subs_.find(name);
   return it == subs_.end() ? nullptr : &it->second.text;
-}
-
-const QueryBinding* SubscriptionManager::FindBinding(
-    mqp::ComplexEventId id) const {
-  auto it = complex_.find(id);
-  return it == complex_.end() ? nullptr : &it->second.binding;
 }
 
 bool SubscriptionManager::HasQuery(const std::string& subscription,

@@ -10,6 +10,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/result.h"
+#include "src/manager/delivery_table.h"
 #include "src/manager/replica.h"
 #include "src/manager/user_registry.h"
 #include "src/query/delta_tracker.h"
@@ -36,7 +37,7 @@ namespace xymon::manager {
 /// Persistence: AttachStorage() opens the recovery log (the paper's MySQL
 /// substitute) and replays stored subscriptions; every Subscribe /
 /// Unsubscribe is logged.
-class SubscriptionManager : public BindingLookup {
+class SubscriptionManager {
  public:
   struct Components {
     trigger::TriggerEngine* trigger_engine = nullptr;
@@ -106,7 +107,11 @@ class SubscriptionManager : public BindingLookup {
   /// document flow.
   Status RebindReplica(size_t shard_index, DetectionReplica* replica);
 
-  const QueryBinding* FindBinding(mqp::ComplexEventId id) const override;
+  const QueryBinding* FindBinding(mqp::ComplexEventId id) const {
+    return delivery_.FindBinding(id);
+  }
+  /// The live complex events' delivery targets (what stage 4a reads).
+  const DeliveryTable& delivery_table() const { return delivery_; }
 
   /// True if `subscription` has a (monitoring or continuous) query named
   /// `query` — target validation for virtual subscriptions.
@@ -115,7 +120,7 @@ class SubscriptionManager : public BindingLookup {
 
   size_t subscription_count() const { return subs_.size(); }
   size_t atomic_event_count() const { return codes_.size(); }
-  size_t complex_event_count() const { return complex_.size(); }
+  size_t complex_event_count() const { return delivery_.size(); }
 
   /// Names of all live subscriptions, sorted. With subscription_text this
   /// lets the crash sweep rebuild a from-scratch monitor and compare its
@@ -136,17 +141,14 @@ class SubscriptionManager : public BindingLookup {
     mqp::AtomicEvent code;
     uint32_t refcount;
   };
-  /// A live complex event: the EventSet it was registered with (what
-  /// RebindReplica replays) and its binding (what stage 4a reads).
-  struct ComplexDef {
-    mqp::EventSet events;
-    QueryBinding binding;
-  };
   struct SubRecord {
     std::vector<std::string> recipients;
     std::string text;
     std::vector<std::string> query_names;  // monitoring + continuous
-    std::vector<mqp::ComplexEventId> complex_events;
+    /// Each live complex event with the EventSet it was registered with
+    /// (what RebindReplica replays); its binding lives in delivery_.
+    std::vector<std::pair<mqp::ComplexEventId, mqp::EventSet>> complex_events;
+    std::vector<uint32_t> slots;  // one per monitoring query
     std::vector<std::string> condition_keys;  // one per acquired reference
     std::vector<trigger::TriggerEngine::TriggerId> triggers;
     std::vector<std::shared_ptr<query::DeltaTracker>> trackers;
@@ -162,7 +164,8 @@ class SubscriptionManager : public BindingLookup {
                            const alerters::Condition& condition);
   void UnregisterCondition(mqp::AtomicEvent code,
                            const alerters::Condition& condition);
-  Status RegisterComplex(mqp::ComplexEventId id, ComplexDef def);
+  Status RegisterComplex(mqp::ComplexEventId id, const mqp::EventSet& events,
+                         QueryBinding binding);
   void UnregisterComplex(mqp::ComplexEventId id);
   Result<mqp::AtomicEvent> AcquireCode(const alerters::Condition& condition,
                                        SubRecord* record);
@@ -178,7 +181,10 @@ class SubscriptionManager : public BindingLookup {
   mqp::AtomicEvent next_code_ = 1;
   mqp::ComplexEventId next_complex_ = 1;
   std::map<std::string, SubRecord> subs_;
-  std::unordered_map<mqp::ComplexEventId, ComplexDef> complex_;
+  DeliveryTable delivery_;
+  /// Delivery slots of retired monitoring queries, reused before new ones.
+  std::vector<uint32_t> free_slots_;
+  uint32_t next_slot_ = 0;
   std::map<std::string, Timestamp> refresh_hints_;
   std::optional<storage::PersistentMap> owned_store_;
   storage::PersistentMap* store_ = nullptr;

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -25,12 +26,17 @@ struct AlertMessage {
   std::string info_xml;
 };
 
-/// One detected complex event for one document.
+/// One detected complex event for one document. `url` and `info_xml` view
+/// the AlertMessage the notification was matched from: nothing is copied
+/// per match, so the alert must outlive every notification taken from it.
+/// The pipeline keeps it alive through stage 4a (ProcessDocJob and the
+/// shard worker hold the alert until Resolve returns); a notification
+/// that must outlive the alert copies what it needs.
 struct MqpNotification {
   ComplexEventId complex_event = kNoComplexEvent;
   uint64_t docid = 0;
-  std::string url;
-  std::string info_xml;
+  std::string_view url;
+  std::string_view info_xml;
 };
 
 /// The Monitoring Query Processor proper: a Matcher plus the notification

@@ -30,14 +30,25 @@ Status Reporter::AddSubscription(const std::string& name,
                                  const sublang::ReportSpec& spec,
                                  std::vector<std::string> recipients,
                                  Timestamp now) {
-  auto [it, inserted] = subs_.emplace(name, SubState{});
+  auto [it, inserted] = subs_.try_emplace(name);
   if (!inserted) {
     return Status::AlreadyExists("subscription '" + name +
                                  "' already registered with the reporter");
   }
-  it->second.spec = spec;
-  it->second.recipients = std::move(recipients);
-  it->second.last_report_time = now;
+  SubState& sub = it->second;
+  sub.spec = spec;
+  if (!spec.query_text.empty()) {
+    auto parsed = query::ParseQuery("Report", spec.query_text);
+    if (parsed.ok()) sub.report_query = std::move(parsed).value();
+  }
+  for (const ReportCondition::Atom& atom : spec.when.atoms) {
+    if (atom.kind == ReportCondition::Atom::Kind::kNamedCount) {
+      sub.counts_queries = true;
+    }
+  }
+  sub.recipients = std::move(recipients);
+  sub.last_report_time = now;
+  routes_[name].state = &sub;
   return Status::OK();
 }
 
@@ -45,11 +56,27 @@ Status Reporter::RemoveSubscription(const std::string& name) {
   if (subs_.erase(name) == 0) {
     return Status::NotFound("subscription '" + name + "'");
   }
-  for (auto& [key, listeners] : virtual_listeners_) {
-    (void)key;
-    std::erase(listeners, name);
+  auto it = routes_.find(name);
+  // It stops listening everywhere; listeners on its own queries stay, so a
+  // re-registered `name` (Modify) reaches them again.
+  for (const auto& [target, query] : it->second.listens_to) {
+    auto target_it = routes_.find(target);
+    if (target_it == routes_.end()) continue;
+    std::erase(target_it->second.listeners, std::pair(query, name));
+    if (target_it != it) EraseRouteIfUnused(target_it);
   }
+  it->second.listens_to.clear();
+  it->second.state = nullptr;
+  EraseRouteIfUnused(it);
   return Status::OK();
+}
+
+void Reporter::EraseRouteIfUnused(RouteMap::iterator it) {
+  const Route& route = it->second;
+  if (route.state == nullptr && route.listeners.empty() &&
+      route.listens_to.empty()) {
+    routes_.erase(it);
+  }
 }
 
 Status Reporter::AddRecipient(const std::string& name,
@@ -65,37 +92,54 @@ Status Reporter::AddRecipient(const std::string& name,
 Status Reporter::AddVirtualListener(const std::string& virtual_sub,
                                     const std::string& target_sub,
                                     const std::string& target_query) {
-  virtual_listeners_[{target_sub, target_query}].push_back(virtual_sub);
+  routes_[target_sub].listeners.emplace_back(target_query, virtual_sub);
+  routes_[virtual_sub].listens_to.emplace_back(target_sub, target_query);
   return Status::OK();
 }
 
-void Reporter::AddNotification(const Notification& notification) {
+void Reporter::AddNotification(Notification notification) {
   ++notifications_received_;
-
-  auto deliver = [this, &notification](const std::string& sub_name) {
-    auto it = subs_.find(sub_name);
-    if (it == subs_.end()) return;
-    SubState& sub = it->second;
-    // atmost N: stop registering notifications past the cap until the next
-    // report (paper §5.3).
-    if (sub.spec.atmost_count.has_value() &&
-        sub.buffer.size() >= *sub.spec.atmost_count) {
-      ++notifications_dropped_;
-    } else {
-      sub.buffer.push_back(notification);
-      ++sub.counts_by_query[notification.query_name];
+  auto it = routes_.find(notification.subscription.view());
+  if (it == routes_.end()) return;
+  const Route& route = it->second;
+  if (route.listeners.empty()) {
+    if (route.state != nullptr) {
+      DeliverTo(it->first, route.state, std::move(notification));
     }
-    MaybeReport(sub_name, &sub, notification.time);
-  };
-
-  deliver(notification.subscription);
-  auto vit = virtual_listeners_.find(
-      {notification.subscription, notification.query_name});
-  if (vit != virtual_listeners_.end()) {
-    for (const std::string& virtual_sub : vit->second) {
-      deliver(virtual_sub);
+    return;
+  }
+  // The owner first, then its virtual listeners in registration order —
+  // each buffer holds a copy of the same handles.
+  if (route.state != nullptr) DeliverTo(it->first, route.state, notification);
+  for (const auto& [query, virtual_sub] : route.listeners) {
+    if (query != notification.query_name) continue;
+    auto listener = routes_.find(virtual_sub);
+    if (listener != routes_.end() && listener->second.state != nullptr) {
+      DeliverTo(listener->first, listener->second.state, notification);
     }
   }
+}
+
+void Reporter::DeliverTo(const std::string& name, SubState* sub,
+                         Notification notification) {
+  const Timestamp time = notification.time;
+  // atmost N: stop registering notifications past the cap until the next
+  // report (paper §5.3).
+  if (sub->spec.atmost_count.has_value() &&
+      sub->buffer.size() >= *sub->spec.atmost_count) {
+    ++notifications_dropped_;
+  } else {
+    if (sub->counts_queries) {
+      auto count = sub->counts_by_query.find(notification.query_name.view());
+      if (count == sub->counts_by_query.end()) {
+        sub->counts_by_query.emplace(notification.query_name.str(), 1);
+      } else {
+        ++count->second;
+      }
+    }
+    sub->buffer.push_back(std::move(notification));
+  }
+  MaybeReport(name, sub, time);
 }
 
 bool Reporter::ConditionHolds(const SubState& sub, Timestamp now) const {
@@ -152,16 +196,15 @@ void Reporter::GenerateReport(const std::string& name, SubState* sub,
       buffer_root->AddChild(std::move(parsed).value());
     } else if (!n.payload_xml.empty()) {
       // Malformed payloads are preserved verbatim rather than lost.
-      buffer_root->AddElement("raw", n.payload_xml);
+      buffer_root->AddElement("raw", n.payload_xml.str());
     }
   }
 
   // Post-process with the report query, if any (the Xyleme Reporter step).
   std::string body;
   if (!sub->spec.query_text.empty() && engine_ != nullptr) {
-    auto parsed_query = query::ParseQuery("Report", sub->spec.query_text);
-    if (parsed_query.ok()) {
-      auto result = engine_->EvaluateOn(*parsed_query, *buffer_root);
+    if (sub->report_query.has_value()) {
+      auto result = engine_->EvaluateOn(*sub->report_query, *buffer_root);
       if (result.ok()) {
         result.value()->SetAttribute("subscription", name);
         result.value()->SetAttribute("date", FormatTimestamp(now));
@@ -230,8 +273,14 @@ std::vector<const Report*> Reporter::ArchivedReports(
 }
 
 size_t Reporter::BufferedCount(const std::string& subscription) const {
+  return Buffered(subscription).size();
+}
+
+const std::vector<Notification>& Reporter::Buffered(
+    const std::string& subscription) const {
+  static const std::vector<Notification> kNone;
   auto it = subs_.find(subscription);
-  return it == subs_.end() ? 0 : it->second.buffer.size();
+  return it == subs_.end() ? kNone : it->second.buffer;
 }
 
 }  // namespace xymon::reporter

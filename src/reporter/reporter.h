@@ -2,13 +2,17 @@
 #define XYMON_REPORTER_REPORTER_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/shared_string.h"
 #include "src/common/status.h"
 #include "src/query/engine.h"
 #include "src/reporter/outbox.h"
@@ -18,11 +22,15 @@
 namespace xymon::reporter {
 
 /// One entry of the notification stream (Figure 2): a monitoring-query match
-/// or a continuous-query evaluation, addressed to a subscription.
+/// or a continuous-query evaluation, addressed to a subscription. The
+/// strings are shared handles: a buffered notification holds the same
+/// payload and names as every other copy of it (virtual listeners, the
+/// other notifications of one document), and keeps them alive after its
+/// subscription or query is gone (DESIGN.md §15).
 struct Notification {
-  std::string subscription;
-  std::string query_name;   // monitoring or continuous query name
-  std::string payload_xml;  // XML fragment(s), opaque to the Reporter
+  SharedString subscription;
+  SharedString query_name;   // monitoring or continuous query name
+  SharedString payload_xml;  // XML fragment(s), opaque to the Reporter
   Timestamp time = 0;
 };
 
@@ -67,9 +75,9 @@ class Reporter {
                             const std::string& target_sub,
                             const std::string& target_query);
 
-  /// Appends to the subscription's buffer and evaluates the report
-  /// condition.
-  void AddNotification(const Notification& notification);
+  /// Appends to the subscription's buffer (and to its virtual listeners'
+  /// buffers) and evaluates the report condition.
+  void AddNotification(Notification notification);
 
   /// Evaluates time-based conditions (periodic atoms, atmost-rate backlog,
   /// archive GC) and drains the outbox.
@@ -88,13 +96,23 @@ class Reporter {
       const std::string& subscription) const;
   /// Buffered (not yet reported) notification count.
   size_t BufferedCount(const std::string& subscription) const;
+  /// The subscription's buffered notifications, oldest first (empty if
+  /// the subscription is unknown).
+  const std::vector<Notification>& Buffered(
+      const std::string& subscription) const;
 
  private:
   struct SubState {
     sublang::ReportSpec spec;
+    /// spec.query_text, parsed once; nullopt without a report query or
+    /// when it does not parse (the report then carries the raw buffer).
+    std::optional<query::Query> report_query;
+    /// The when-condition has a named-count atom, so counts_by_query is
+    /// kept.
+    bool counts_queries = false;
     std::vector<std::string> recipients;
     std::vector<Notification> buffer;
-    std::map<std::string, uint64_t> counts_by_query;
+    std::map<std::string, uint64_t, std::less<>> counts_by_query;
     Timestamp last_report_time = 0;
     bool has_reported = false;
     bool pending = false;  // condition held but atmost-rate deferred it
@@ -102,6 +120,23 @@ class Reporter {
     std::deque<Report> archive;
   };
 
+  /// Where a subscription name's notifications go: its own state (nullptr
+  /// while the name is not registered but virtual listeners still refer to
+  /// it) and the virtual subscriptions listening on its queries.
+  struct Route {
+    SubState* state = nullptr;
+    /// (query, virtual subscription), in registration order.
+    std::vector<std::pair<std::string, std::string>> listeners;
+    /// (target subscription, query) this name listens on as a virtual
+    /// subscription.
+    std::vector<std::pair<std::string, std::string>> listens_to;
+  };
+  using RouteMap =
+      std::unordered_map<std::string, Route, StringViewHash, std::equal_to<>>;
+
+  void EraseRouteIfUnused(RouteMap::iterator it);
+  void DeliverTo(const std::string& name, SubState* sub,
+                 Notification notification);
   bool ConditionHolds(const SubState& sub, Timestamp now) const;
   void MaybeReport(const std::string& name, SubState* sub, Timestamp now);
   void GenerateReport(const std::string& name, SubState* sub, Timestamp now);
@@ -109,10 +144,10 @@ class Reporter {
   Outbox* outbox_;
   WebPortal* web_portal_ = nullptr;
   const query::QueryEngine* engine_;
+  /// Owns the states; name order is the order Tick reports in.
   std::map<std::string, SubState> subs_;
-  // (target sub, query) -> virtual subscriber names.
-  std::map<std::pair<std::string, std::string>, std::vector<std::string>>
-      virtual_listeners_;
+  /// The notification path's lookup, by subscription name.
+  RouteMap routes_;
   uint64_t reports_generated_ = 0;
   uint64_t notifications_received_ = 0;
   uint64_t notifications_dropped_ = 0;

@@ -1,42 +1,46 @@
 #ifndef XYMON_SYSTEM_BINDING_RESOLVER_H_
 #define XYMON_SYSTEM_BINDING_RESOLVER_H_
 
-#include <string>
 #include <vector>
 
-#include "src/manager/replica.h"
+#include "src/manager/delivery_table.h"
 #include "src/mqp/processor.h"
 #include "src/system/pipeline.h"
 #include "src/warehouse/warehouse.h"
 
+namespace xymon::manager {
+class SubscriptionManager;
+}
+
 namespace xymon::system {
 
 /// Stage 4a as a standalone component: complex-event matches → deliverable
-/// DeliveryActions, via the QueryBindings (binding lookup, per-query dedup,
-/// select-clause payload assembly). Factored out of XylemeMonitor so a
-/// shard worker *process* runs the identical resolution over the bindings
-/// its replica operations carried (DESIGN.md §14) — the actions it ships
-/// back over the wire are byte-identical to what the in-process monitor
-/// would have produced. In process, the lookup is the SubscriptionManager.
+/// DeliveryActions, via the DeliveryTable (target lookup by id, per-query
+/// dedup by slot, select-clause payload assembly). Factored out of
+/// XylemeMonitor so a shard worker *process* runs the identical resolution
+/// over the table its replica operations built (DESIGN.md §14) — the
+/// actions it ships back over the wire are byte-identical to what the
+/// in-process monitor would have produced.
 ///
-/// Read-only over the bindings; the caller quiesces every mutation of them
-/// around batches (the same contract as NotifyResolver).
+/// Every kDefault action of one document shares one payload buffer, and
+/// every action of one query shares its interned names (DESIGN.md §15).
+///
+/// Read-only over the table; the caller quiesces every mutation of it
+/// around batches (the same contract as NotifyResolver). One resolver may
+/// serve several shard threads at once.
 class BindingResolver : public NotifyResolver {
  public:
-  explicit BindingResolver(const manager::BindingLookup* bindings)
-      : bindings_(bindings) {}
+  explicit BindingResolver(const manager::DeliveryTable* table)
+      : table_(table) {}
+  /// Resolves over the manager's table.
+  explicit BindingResolver(const manager::SubscriptionManager* manager);
 
   void Resolve(const warehouse::IngestResult& ingest,
                const std::vector<mqp::MqpNotification>& matches,
                DocOutcome* out) const override;
 
  private:
-  void CollectPayloads(const manager::QueryBinding& binding,
-                       const mqp::MqpNotification& notification,
-                       const warehouse::IngestResult& ingest,
-                       std::vector<std::string>* payloads) const;
-
-  const manager::BindingLookup* bindings_;
+  const manager::DeliveryTable* table_;
 };
 
 }  // namespace xymon::system

@@ -195,7 +195,7 @@ void XylemeMonitor::Deliver(const DocJob& job, DocOutcome& outcome) {
     switch (action.kind) {
       case DeliveryAction::Kind::kNotification:
         reporter_.AddNotification(reporter::Notification{
-            action.subscription, action.query_name,
+            std::move(action.subscription), std::move(action.query_name),
             std::move(action.payload_xml), now});
         ++stats_.notifications;
         break;
@@ -211,10 +211,10 @@ void XylemeMonitor::Deliver(const DocJob& job, DocOutcome& outcome) {
 
 void XylemeMonitor::FlushTriggerEventsLocked() {
   if (pending_trigger_events_.empty()) return;
-  std::vector<std::string> events;
+  std::vector<SharedString> events;
   events.swap(pending_trigger_events_);
   Timestamp now = clock_->Now();
-  for (const std::string& key : events) {
+  for (const SharedString& key : events) {
     trigger_engine_.NotifyEvent(key, now);
   }
 }

@@ -294,7 +294,7 @@ class XylemeMonitor : private DeliverySink {
   Stats stats_;
   /// Trigger events deferred by Deliver until the batch completes (guarded
   /// by api_mutex_, like every delivery structure).
-  std::vector<std::string> pending_trigger_events_;
+  std::vector<SharedString> pending_trigger_events_;
   webstub::CrawlerStats last_crawler_stats_;
   uint64_t quarantined_urls_ = 0;
 

@@ -19,6 +19,7 @@
 #include "src/alerters/pipeline.h"
 #include "src/common/clock.h"
 #include "src/common/result.h"
+#include "src/common/shared_string.h"
 #include "src/manager/replica.h"
 #include "src/mqp/processor.h"
 #include "src/storage/storage_hub.h"
@@ -85,16 +86,18 @@ struct DocJob {
 /// One deferred side effect of processing a document. Produced on the shard,
 /// replayed by the DeliverySink on the gather thread in submission order, so
 /// the reporter and trigger engine observe the same call sequence for every
-/// shard count.
+/// shard count. The strings are shared handles (DESIGN.md §15): the names
+/// are the DeliveryTable's interned ones and every kDefault action of a
+/// document holds the same payload buffer.
 struct DeliveryAction {
   enum class Kind { kNotification, kTriggerEvent };
   Kind kind = Kind::kNotification;
   // kNotification:
-  std::string subscription;
-  std::string query_name;
-  std::string payload_xml;
+  SharedString subscription;
+  SharedString query_name;
+  SharedString payload_xml;
   // kTriggerEvent:
-  std::string event_key;
+  SharedString event_key;
 };
 
 /// Everything the delivery half of stage 4 needs about one processed job.

@@ -502,13 +502,10 @@ void ShardWorkerProxy::ReaderLoop() {
                                        std::move(msg.status_message));
         out.actions.reserve(msg.actions.size());
         for (ipc::WireAction& a : msg.actions) {
-          DeliveryAction action;
-          action.kind = static_cast<DeliveryAction::Kind>(a.kind);
-          action.subscription = std::move(a.subscription);
-          action.query_name = std::move(a.query_name);
-          action.payload_xml = std::move(a.payload_xml);
-          action.event_key = std::move(a.event_key);
-          out.actions.push_back(std::move(action));
+          out.actions.push_back(DeliveryAction{
+              static_cast<DeliveryAction::Kind>(a.kind),
+              std::move(a.subscription), std::move(a.query_name),
+              std::move(a.payload_xml), std::move(a.event_key)});
         }
         // Publication is the local shards' exactly (BatchState::Publish).
         bs->Publish(msg.slot, std::move(out));

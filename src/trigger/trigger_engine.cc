@@ -44,7 +44,8 @@ void TriggerEngine::Tick(Timestamp now) {
   }
 }
 
-void TriggerEngine::NotifyEvent(const std::string& key, Timestamp now) {
+void TriggerEngine::NotifyEvent(std::string_view key, Timestamp now) {
+  if (by_key_.empty()) return;
   auto it = by_key_.find(key);
   if (it == by_key_.end()) return;
   // Copy: an action may add/remove triggers.

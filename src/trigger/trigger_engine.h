@@ -5,10 +5,12 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/shared_string.h"
 #include "src/common/status.h"
 
 namespace xymon::trigger {
@@ -42,7 +44,7 @@ class TriggerEngine {
   void Tick(Timestamp now);
 
   /// Delivers a notification event to every trigger listening on `key`.
-  void NotifyEvent(const std::string& key, Timestamp now);
+  void NotifyEvent(std::string_view key, Timestamp now);
 
   size_t trigger_count() const {
     return periodic_.size() + notification_.size();
@@ -63,7 +65,9 @@ class TriggerEngine {
   TriggerId next_id_ = 1;
   std::map<TriggerId, Periodic> periodic_;
   std::map<TriggerId, OnNotification> notification_;
-  std::unordered_map<std::string, std::vector<TriggerId>> by_key_;
+  std::unordered_map<std::string, std::vector<TriggerId>, StringViewHash,
+                     std::equal_to<>>
+      by_key_;
   uint64_t firings_ = 0;
 };
 

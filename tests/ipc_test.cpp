@@ -195,6 +195,76 @@ TEST(WireMessageTest, SlotResultRoundtripsActionsAndDeltas) {
   EXPECT_EQ(got.document_count, 19u);
 }
 
+TEST(WireMessageTest, SlotResultSendsEachDistinctStringOnce) {
+  // A document's actions as stage 4a builds them: one payload shared by
+  // every notification, one trigger key per query.
+  const std::string payload(200, 'p');
+  auto encode = [&](size_t queries) {
+    ipc::SlotResultMsg msg;
+    SharedString shared = payload;
+    for (size_t i = 0; i < queries; ++i) {
+      std::string sub = "S" + std::to_string(i);
+      msg.actions.push_back({0, sub, "q", shared, ""});
+      msg.actions.push_back({1, "", "", "", sub + ".q"});
+    }
+    return msg.Encode();
+  };
+  const std::string one = encode(1);
+  const std::string many = encode(50);
+  // The payload crosses once, however many actions carry it.
+  EXPECT_LT(many.size() - one.size(), 49 * payload.size());
+
+  ipc::SlotResultMsg got;
+  ASSERT_TRUE(
+      ipc::SlotResultMsg::Decode(std::string_view(many).substr(1), &got).ok());
+  ASSERT_EQ(got.actions.size(), 100u);
+  for (size_t i = 0; i < 50; ++i) {
+    const ipc::WireAction& a = got.actions[2 * i];
+    EXPECT_EQ(a.subscription, "S" + std::to_string(i));
+    EXPECT_EQ(a.payload_xml, payload);
+    // Decoding keeps the sharing: one buffer for the whole document.
+    EXPECT_TRUE(a.payload_xml.SharesWith(got.actions[0].payload_xml));
+    EXPECT_EQ(got.actions[2 * i + 1].event_key, "S" + std::to_string(i) + ".q");
+  }
+}
+
+TEST(WireCorruptionTest, OutOfRangeStringIndexIsRejected) {
+  // One action naming strings 0..3 of a four-entry table, each index then
+  // pointed past the table in turn.
+  auto build = [](uint32_t field, uint32_t value) {
+    ipc::WireWriter w;
+    w.U8(static_cast<uint8_t>(MsgType::kSlotResult));
+    w.U64(1);   // batch
+    w.U32(0);   // slot
+    for (int i = 0; i < 4; ++i) w.U8(0);  // processed, degraded, alert, failed
+    w.Str("");  // failed_stage
+    w.U8(0);    // status code
+    w.Str("");  // status message
+    w.U32(4);
+    for (const char* entry : {"S", "q", "<p/>", "S.q"}) w.Str(entry);
+    w.U32(1);
+    w.U8(0);
+    for (uint32_t f = 0; f < 4; ++f) w.U32(f == field ? value : f);
+    for (int i = 0; i < 8; ++i) w.U64(0);  // stage counters
+    w.U64(0);                              // document count
+    return w.Take();
+  };
+  ipc::SlotResultMsg got;
+  ASSERT_TRUE(ipc::SlotResultMsg::Decode(
+                  std::string_view(build(0, 0)).substr(1), &got)
+                  .ok());
+  EXPECT_EQ(got.actions[0].payload_xml, "<p/>");
+  for (uint32_t field = 0; field < 4; ++field) {
+    for (uint32_t bad : {4u, 5u, 0xFFFFFFFFu}) {
+      std::string payload = build(field, bad);
+      Status st = ipc::SlotResultMsg::Decode(
+          std::string_view(payload).substr(1), &got);
+      EXPECT_TRUE(st.IsCorruption())
+          << "field " << field << " index " << bad << ": " << st.ToString();
+    }
+  }
+}
+
 TEST(WireMessageTest, DomainDocsRoundtripsMetaAndBody) {
   ipc::DomainDocsMsg msg;
   msg.seq = 9;
@@ -782,6 +852,36 @@ TEST(ProcessModeTest, TwoAndFourWorkersMatchInlineBitForBit) {
     EXPECT_EQ(run.notifications, inline_run.notifications);
     EXPECT_EQ(run.respawns, 0u);
     EXPECT_TRUE(run.probe_notified);
+  }
+}
+
+// The sharing survives the socket: a worker's slot result decodes to one
+// payload buffer per document, which every matching subscription buffers.
+TEST(ProcessModeTest, OneAlertSharesOnePayloadAcrossTheWire) {
+  TempDir dir("sharing");
+  SimClock clock(1000);
+  auto monitor =
+      XylemeMonitor::Open(&clock, IpcOptions(ShardMode::kProcess, 2, dir.path));
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+  constexpr int kSubs = 12;
+  for (int i = 0; i < kSubs; ++i) {
+    ASSERT_TRUE((*monitor)
+                    ->Subscribe("subscription S" + std::to_string(i) +
+                                    "\nmonitoring q\nselect default\nwhere "
+                                    "URL extends \"http://w0.example/\" and "
+                                    "modified self\nreport when count >= 100\n",
+                                "u@x")
+                    .ok());
+  }
+  (*monitor)->ProcessFetch("http://w0.example/a.xml", "<p>v1</p>");
+  (*monitor)->ProcessFetch("http://w0.example/a.xml", "<p>v2</p>");
+  ASSERT_EQ((*monitor)->stats().notifications, static_cast<uint64_t>(kSubs));
+  const auto& first = (*monitor)->reporter().Buffered("S0");
+  ASSERT_EQ(first.size(), 1u);
+  for (int i = 0; i < kSubs; ++i) {
+    const auto& buffer = (*monitor)->reporter().Buffered("S" + std::to_string(i));
+    ASSERT_EQ(buffer.size(), 1u);
+    EXPECT_TRUE(buffer[0].payload_xml.SharesWith(first[0].payload_xml)) << i;
   }
 }
 

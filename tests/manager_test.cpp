@@ -136,6 +136,54 @@ TEST_F(ManagerTest, FindBindingMapsComplexEvents) {
   EXPECT_EQ(manager_.FindBinding(999), nullptr);
 }
 
+TEST_F(ManagerTest, DeliveryTargetsShareOneSlotPerQuery) {
+  ASSERT_TRUE(manager_
+                  .Subscribe(R"(
+subscription Two
+monitoring a
+select default
+where URL extends "http://a.org/" and new Product
+   or URL extends "http://b.org/" and new Product
+monitoring b
+select default
+where URL extends "http://c.org/" and new Product
+report when immediate
+)",
+                             "u@x")
+                  .ok());
+  const DeliveryTable& table = manager_.delivery_table();
+  ASSERT_EQ(table.size(), 3u);
+  const DeliveryTable::Target* a1 = table.Find(1);
+  const DeliveryTable::Target* a2 = table.Find(2);
+  const DeliveryTable::Target* b = table.Find(3);
+  ASSERT_NE(a1, nullptr);
+  ASSERT_NE(a2, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(table.Find(4), nullptr);
+  // The two disjuncts of `a` share the slot and the interned names.
+  EXPECT_EQ(a1->slot, a2->slot);
+  EXPECT_NE(a1->slot, b->slot);
+  EXPECT_TRUE(a1->query_name.SharesWith(a2->query_name));
+  EXPECT_EQ(a1->subscription, "Two");
+  EXPECT_EQ(a1->query_name, "a");
+  EXPECT_EQ(a1->trigger_key, "Two.a");
+  EXPECT_EQ(b->trigger_key, "Two.b");
+  EXPECT_LT(b->slot, table.slot_limit());
+
+  // Retiring the subscription frees its ids and slots; a handle taken
+  // before stays valid, and the next query reuses a slot.
+  SharedString kept = a1->trigger_key;
+  ASSERT_TRUE(manager_.Unsubscribe("Two").ok());
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Find(1), nullptr);
+  EXPECT_EQ(kept, "Two.a");
+  const size_t limit = table.slot_limit();
+  ASSERT_TRUE(manager_.Subscribe(kSimpleSub, "u@x").ok());
+  EXPECT_EQ(table.slot_limit(), limit);
+  ASSERT_NE(table.Find(4), nullptr);
+  EXPECT_EQ(table.Find(4)->trigger_key, "Simple.m1");
+}
+
 TEST_F(ManagerTest, VirtualRequiresExistingTarget) {
   auto bad = manager_.Subscribe("subscription V\nvirtual Nope.Q\n", "v@x");
   EXPECT_TRUE(bad.status().IsNotFound());

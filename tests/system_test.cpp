@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "src/common/rng.h"
 #include "src/system/monitor.h"
 #include "src/xml/parser.h"
 #include "src/webstub/crawler.h"
@@ -356,6 +357,117 @@ report when immediate
   monitor_.ProcessFetch("http://overlap.example.org/q.xml",
                         "<p>more about xyleme v2</p>");
   EXPECT_EQ(monitor_.stats().notifications, 3u);  // both disjuncts, one notif
+}
+
+// One alert matching N kDefault subscriptions carries one payload: every
+// buffered notification holds the same buffer, not an equal copy. Some
+// subscriptions match through two disjuncts at once and must still be
+// notified once. Counted, not timed. With 4 shard threads the buffer is
+// built on a shard thread and released on the gather thread.
+TEST_F(SystemTest, OneAlertSharesOnePayloadAcrossSubscriptions) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SimClock clock(1000);
+    XylemeMonitor::Options options;
+    options.num_shards = seed % 2 == 0 ? 4 : 1;
+    XylemeMonitor monitor(&clock, options);
+    Rng rng(seed);
+    const size_t n = 5 + rng.Uniform(40);
+    size_t disjunctive = 0;
+    for (size_t i = 0; i < n; ++i) {
+      std::string where =
+          "where URL extends \"http://a.example.org/\" and modified self";
+      if (rng.Uniform(3) == 0) {
+        // A second disjunct the same document satisfies.
+        where += "\n   or self contains \"xyleme\"";
+        ++disjunctive;
+      }
+      std::string text = "subscription S" + std::to_string(i) +
+                         "\nmonitoring q" + std::to_string(rng.Uniform(3)) +
+                         "\nselect default\n" + where +
+                         "\nreport when count >= 1000\n";
+      ASSERT_TRUE(monitor.Subscribe(text, "u@x").ok()) << text;
+    }
+    // Subscriptions the document does not match stay empty.
+    ASSERT_TRUE(monitor
+                    .Subscribe("subscription Elsewhere\nmonitoring q\n"
+                               "select default\nwhere URL extends "
+                               "\"http://b.example.org/\" and modified self\n"
+                               "report when count >= 1000\n",
+                               "u@x")
+                    .ok());
+    EXPECT_EQ(monitor.mqp().matcher().size(), n + disjunctive + 1);
+
+    // New, then modified and about xyleme: one alert satisfying every
+    // disjunct.
+    monitor.ProcessFetch("http://a.example.org/p.xml", "<p>1</p>");
+    monitor.ProcessFetch("http://a.example.org/p.xml", "<p>xyleme 2</p>");
+    ASSERT_EQ(monitor.stats().notifications, n) << "seed " << seed;
+
+    const SharedString& payload =
+        monitor.reporter().Buffered("S0").at(0).payload_xml;
+    ASSERT_FALSE(payload.empty());
+    for (size_t i = 0; i < n; ++i) {
+      const auto& buffer = monitor.reporter().Buffered("S" + std::to_string(i));
+      ASSERT_EQ(buffer.size(), 1u) << "seed " << seed << " S" << i;
+      EXPECT_TRUE(buffer[0].payload_xml.SharesWith(payload))
+          << "seed " << seed << " S" << i;
+    }
+    EXPECT_EQ(monitor.reporter().BufferedCount("Elsewhere"), 0u);
+  }
+}
+
+// A buffered notification owns its names and payload: a virtual
+// subscription's buffer keeps (Main, q, payload) after Main is removed, or
+// modified so that q no longer exists, and its report still carries them.
+TEST_F(SystemTest, BufferedNotificationOutlivesUnsubscribeAndModify) {
+  constexpr char kMain[] =
+      "subscription Main\nmonitoring q\nselect default\n"
+      "where URL extends \"http://a.example.org/\" and modified self\n"
+      "report when count >= 1000\n";
+  constexpr char kRenamed[] =
+      "subscription Main\nmonitoring renamed\nselect default\n"
+      "where URL extends \"http://a.example.org/\" and modified self\n"
+      "report when count >= 1000\n";
+  for (bool modify : {false, true}) {
+    SimClock clock(1000);
+    XylemeMonitor monitor(&clock);
+    ASSERT_TRUE(monitor.Subscribe(kMain, "main@x").ok());
+    ASSERT_TRUE(monitor
+                    .Subscribe("subscription V\nvirtual Main.q\n"
+                               "report when daily\n",
+                               "v@x")
+                    .ok());
+    monitor.ProcessFetch("http://a.example.org/p.xml", "<p>1</p>");
+    monitor.ProcessFetch("http://a.example.org/p.xml", "<p>2</p>");
+    ASSERT_EQ(monitor.reporter().BufferedCount("V"), 1u);
+    const std::string payload =
+        monitor.reporter().Buffered("V")[0].payload_xml.str();
+    ASSERT_NE(payload.find("http://a.example.org/p.xml"), std::string::npos);
+
+    if (modify) {
+      ASSERT_TRUE(monitor.manager().Modify("Main", kRenamed).ok());
+      // The renamed query notifies Main, not V.
+      monitor.ProcessFetch("http://a.example.org/p.xml", "<p>3</p>");
+      EXPECT_EQ(monitor.reporter().BufferedCount("Main"), 1u);
+    } else {
+      ASSERT_TRUE(monitor.Unsubscribe("Main").ok());
+    }
+
+    const auto& buffer = monitor.reporter().Buffered("V");
+    ASSERT_EQ(buffer.size(), 1u) << "modify=" << modify;
+    EXPECT_EQ(buffer[0].subscription, "Main");
+    EXPECT_EQ(buffer[0].query_name, "q");
+    EXPECT_EQ(buffer[0].payload_xml, payload);
+
+    clock.Advance(kDay);
+    monitor.Tick();
+    const reporter::Report* report = monitor.reporter().LastReport("V");
+    ASSERT_NE(report, nullptr) << "modify=" << modify;
+    EXPECT_NE(report->xml.find("http://a.example.org/p.xml"),
+              std::string::npos)
+        << report->xml;
+    EXPECT_EQ(monitor.reporter().BufferedCount("V"), 0u);
+  }
 }
 
 TEST_F(SystemTest, WarehousePersistenceKeepsChangeSemanticsAcrossRestart) {

@@ -332,6 +332,30 @@ TEST(ReporterQueryTest, ReportQueryFiltersTheBuffer) {
   EXPECT_EQ(body.find("Member"), std::string::npos) << body;
 }
 
+TEST(ReporterQueryTest, ReportQueryShapesEveryReport) {
+  // The query is parsed once, at registration, and serves each report.
+  Outbox outbox;
+  query::QueryEngine engine(nullptr);
+  Reporter reporter(&outbox, &engine);
+  ReportSpec spec;
+  ReportCondition::Atom atom;
+  atom.kind = ReportCondition::Atom::Kind::kImmediate;
+  spec.when.atoms.push_back(atom);
+  spec.query_text = "select X from self//UpdatedPage X";
+  ASSERT_TRUE(reporter.AddSubscription("S", spec, {"u@x"}, 0).ok());
+  for (const char* url : {"http://a", "http://b"}) {
+    reporter.AddNotification(Notification{
+        "S", "q",
+        std::string("<n><UpdatedPage url=\"") + url +
+            "\"/><Member>m</Member></n>",
+        1});
+    const std::string& body = outbox.last()->body;
+    EXPECT_NE(body.find(url), std::string::npos) << body;
+    EXPECT_EQ(body.find("Member"), std::string::npos) << body;
+  }
+  EXPECT_EQ(reporter.reports_generated(), 2u);
+}
+
 TEST(ReporterQueryTest, BrokenReportQueryFallsBackToRawBuffer) {
   Outbox outbox;
   query::QueryEngine engine(nullptr);
