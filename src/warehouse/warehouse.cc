@@ -244,8 +244,11 @@ IngestResult Warehouse::Ingest(const FetchedContent& page, Timestamp now,
     return out;
   }
 
-  // New or updated content: try to parse as XML.
-  auto parsed = xml::Parse(page.body);
+  // New or updated content: try to parse as XML, within the caps.
+  xml::ParseOptions parse_options;
+  parse_options.max_input_bytes = kMaxDocumentBytes;
+  parse_options.max_nodes = kMaxDocumentNodes;
+  auto parsed = xml::Parse(page.body, parse_options);
   bool is_xml = parsed.ok();
 
   if (!is_xml && it != entries_.end() && it->second->has_current &&

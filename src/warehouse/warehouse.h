@@ -21,6 +21,14 @@
 
 namespace xymon::warehouse {
 
+/// Per-document parse caps. A body above either one is treated as a
+/// malformed body (DESIGN.md §9: a warehoused page is degraded and keeps its
+/// last good version), so one hostile page costs bounded time and memory in
+/// the parser, the diff and the alerters. Both sit far above the largest
+/// benchmark page, a 2,000-product catalog of about 210 KB and 14,000 nodes.
+inline constexpr size_t kMaxDocumentBytes = size_t{4} << 20;
+inline constexpr size_t kMaxDocumentNodes = 200000;
+
 /// One page as fetched by the crawler (webstub) — URL plus raw bytes. The
 /// warehouse decides whether it is XML by parsing.
 struct FetchedContent {

@@ -1,5 +1,7 @@
 #include "src/xml/dom.h"
 
+#include <utility>
+
 #include "src/common/hash.h"
 
 namespace xymon::xml {
@@ -39,6 +41,20 @@ std::unique_ptr<Node> Node::RemoveChild(size_t index) {
   children_.erase(children_.begin() + index);
   out->parent_ = nullptr;
   return out;
+}
+
+std::vector<std::unique_ptr<Node>> Node::ReleaseChildren() {
+  std::vector<std::unique_ptr<Node>> out = std::exchange(children_, {});
+  for (auto& c : out) c->parent_ = nullptr;
+  return out;
+}
+
+void Node::AppendChildren(std::vector<std::unique_ptr<Node>> children) {
+  children_.reserve(children_.size() + children.size());
+  for (auto& c : children) {
+    c->parent_ = this;
+    children_.push_back(std::move(c));
+  }
 }
 
 size_t Node::IndexOfChild(const Node* child) const {
@@ -130,7 +146,7 @@ bool Node::EqualsIgnoringXids(const Node& other) const {
   return true;
 }
 
-uint64_t Node::SubtreeHash() const {
+uint64_t Node::LocalHash() const {
   uint64_t h = Fnv1a(name_);
   h = HashCombine(h, static_cast<uint64_t>(type_));
   h = HashCombine(h, Fnv1a(text_));
@@ -138,6 +154,11 @@ uint64_t Node::SubtreeHash() const {
     h = HashCombine(h, Fnv1a(k));
     h = HashCombine(h, Fnv1a(v));
   }
+  return h;
+}
+
+uint64_t Node::SubtreeHash() const {
+  uint64_t h = LocalHash();
   for (const auto& c : children_) {
     h = HashCombine(h, c->SubtreeHash());
   }

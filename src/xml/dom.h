@@ -92,6 +92,12 @@ class Node {
   std::unique_ptr<Node> RemoveChild(size_t index);
   /// Index of `child` among this node's children, or npos.
   size_t IndexOfChild(const Node* child) const;
+  /// Removes and returns every child, in order. Together with AppendChildren
+  /// this rebuilds a child list in one pass (applying a delta) instead of
+  /// one vector erase/insert per edit.
+  std::vector<std::unique_ptr<Node>> ReleaseChildren();
+  /// Appends `children` in order (ownership transferred to this node).
+  void AppendChildren(std::vector<std::unique_ptr<Node>> children);
 
   /// Convenience: appends <tag>text</tag> and returns the new element.
   Node* AddElement(std::string tag, std::string text = "");
@@ -130,6 +136,9 @@ class Node {
   /// Order-sensitive content hash of the subtree, used for signatures and by
   /// the diff's bottom-up matching phase.
   uint64_t SubtreeHash() const;
+  /// The node's own share of SubtreeHash (type, name, text, attributes):
+  /// SubtreeHash folds each child's SubtreeHash into it with HashCombine.
+  uint64_t LocalHash() const;
 
  private:
   NodeType type_;

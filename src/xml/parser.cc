@@ -248,7 +248,18 @@ class ParserImpl {
     return result;
   }
 
+  /// Counts one more node against ParseOptions::max_nodes.
+  Status CountNode() {
+    if (options_.max_nodes != 0 && ++nodes_ > options_.max_nodes) {
+      return Status::ResourceExhausted(
+          "document exceeds the node limit (" +
+          std::to_string(options_.max_nodes) + " nodes)");
+    }
+    return Status::OK();
+  }
+
   Result<std::unique_ptr<Node>> ParseElementInner() {
+    XYMON_RETURN_IF_ERROR(CountNode());
     Advance();  // '<'
     std::string tag = ParseName();
     if (tag.empty()) return Err("expected element name");
@@ -285,7 +296,7 @@ class ParserImpl {
     // printing indentation); dropping them makes Parse∘Serialize a fixpoint
     // and keeps diffs free of formatting noise (see parser.h).
     std::string text;
-    auto flush_text = [&] {
+    auto flush_text = [&]() -> Status {
       bool all_space = true;
       for (char c : text) {
         if (!isspace(static_cast<unsigned char>(c))) {
@@ -294,15 +305,17 @@ class ParserImpl {
         }
       }
       if (!text.empty() && !all_space) {
+        XYMON_RETURN_IF_ERROR(CountNode());
         node->AddChild(Node::Text(std::move(text)));
       }
       text.clear();
+      return Status::OK();
     };
     while (true) {
       if (Eof()) return Err("unexpected end of input inside <" + tag + ">");
       if (Peek() == '<') {
         if (input_.substr(pos_, 4) == "<!--") {
-          flush_text();
+          XYMON_RETURN_IF_ERROR(flush_text());
           SkipComment();
         } else if (input_.substr(pos_, 9) == "<![CDATA[") {
           AdvanceN(9);
@@ -313,10 +326,10 @@ class ParserImpl {
           if (Eof()) return Err("unterminated CDATA section");
           AdvanceN(3);
         } else if (input_.substr(pos_, 2) == "<?") {
-          flush_text();
+          XYMON_RETURN_IF_ERROR(flush_text());
           SkipPi();
         } else if (PeekAt(1) == '/') {
-          flush_text();
+          XYMON_RETURN_IF_ERROR(flush_text());
           AdvanceN(2);
           std::string end = ParseName();
           if (end != tag) {
@@ -327,7 +340,7 @@ class ParserImpl {
           Advance();
           return node;
         } else {
-          flush_text();
+          XYMON_RETURN_IF_ERROR(flush_text());
           auto child = ParseElement();
           if (!child.ok()) return child.status();
           node->AddChild(std::move(child).value());
@@ -347,6 +360,7 @@ class ParserImpl {
   ParseOptions options_;
   size_t pos_ = 0;
   size_t depth_ = 0;
+  size_t nodes_ = 0;
   int line_ = 1;
   int col_ = 1;
 };

@@ -30,6 +30,9 @@ struct ParseOptions {
   size_t max_depth = 512;
   /// Maximum input size in bytes (0 = unlimited).
   size_t max_input_bytes = 0;
+  /// Maximum number of nodes (elements and text runs) in the document;
+  /// more fail with ResourceExhausted (0 = unlimited).
+  size_t max_nodes = 0;
 };
 
 Result<Document> Parse(std::string_view input, const ParseOptions& options);

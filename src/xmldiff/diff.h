@@ -28,15 +28,26 @@ struct DiffResult {
 /// XIDs from `alloc`. `old_root` must already be fully XID-assigned
 /// (XidAllocator::AssignAll).
 ///
-/// Matching is order-preserving, XyDiff-style: an LCS over child subtree
-/// hashes anchors unchanged content, the gaps are paired in order by tag and
-/// recursed into; leftovers become inserts/deletes.
+/// Matching is top-down and XyDiff-style, one child list at a time, with a
+/// bounded cost per list (DESIGN.md §16). Subtree hashes are computed once
+/// per diff. A list of n_old x n_new children within a fixed cell budget
+/// (65,536) gets an exact LCS over identical subtrees, then an LCS over
+/// compatible kind (same tag, or text with text) in each remaining gap; the
+/// compatible pairs are recursed into. A larger list is first cut into gaps
+/// by the children whose content is unique in both lists (the longest
+/// in-order subset of them, O(n log n)); a gap still over the budget is
+/// paired by tag in O(n log n), so a same-tag edit stays an update at any
+/// size. Identical children left over on both sides become moves through a
+/// hash index, and the rest inserts and deletes. Time is O(n log n) in the
+/// document size plus at most 65,536 cells per child list, memory O(n).
 DiffResult Diff(const xml::Node& old_root, xml::Node* new_root,
                 XidAllocator* alloc);
 
 /// Reconstructs the new version: returns Apply(old, Diff(old,new)) == new
 /// (modulo XIDs on inserted nodes, which are preserved here because the
-/// delta's subtrees carry them).
+/// delta's subtrees carry them). Linear in the document and delta size:
+/// each parent's child list is compacted once for its deletes and moves and
+/// rebuilt once for its inserts and move targets.
 Result<std::unique_ptr<xml::Node>> Apply(const xml::Node& old_root,
                                          const Delta& delta);
 

@@ -9,20 +9,43 @@ void XidAllocator::AssignAll(xml::Node* subtree) {
   }
 }
 
-XidIndex::XidIndex(xml::Node* root) {
+XidIndex::XidIndex(xml::Node* root) : table_(16) {
   // Iterative DFS; documents can be deep in failure-injection tests.
-  std::vector<xml::Node*> stack{root};
+  std::vector<std::pair<xml::Node*, size_t>> stack{{root, 0}};
   while (!stack.empty()) {
-    xml::Node* n = stack.back();
+    auto [n, position] = stack.back();
     stack.pop_back();
-    if (n->xid() != 0) index_[n->xid()] = n;
-    for (const auto& c : n->children()) stack.push_back(c.get());
+    if (n->xid() != 0) Insert(Entry{n->xid(), n, position});
+    for (size_t i = 0; i < n->child_count(); ++i) {
+      stack.emplace_back(n->child(i), i);
+    }
   }
 }
 
-xml::Node* XidIndex::Find(uint64_t xid) const {
-  auto it = index_.find(xid);
-  return it == index_.end() ? nullptr : it->second;
+size_t XidIndex::SlotOf(uint64_t xid) const {
+  const size_t mask = table_.size() - 1;
+  size_t at = static_cast<size_t>((xid * 0x9e3779b97f4a7c15ull) >> 32) & mask;
+  while (table_[at].xid != 0 && table_[at].xid != xid) at = (at + 1) & mask;
+  return at;
+}
+
+void XidIndex::Insert(const Entry& entry) {
+  if (2 * (size_ + 1) > table_.size()) {
+    std::vector<Entry> old(2 * table_.size());
+    old.swap(table_);
+    for (const Entry& e : old) {
+      if (e.xid != 0) table_[SlotOf(e.xid)] = e;
+    }
+  }
+  Entry& slot = table_[SlotOf(entry.xid)];
+  if (slot.xid == 0) ++size_;
+  slot = entry;  // a repeated XID keeps the last node visited
+}
+
+const XidIndex::Entry* XidIndex::Lookup(uint64_t xid) const {
+  if (xid == 0) return nullptr;
+  const Entry& e = table_[SlotOf(xid)];
+  return e.xid == 0 ? nullptr : &e;
 }
 
 }  // namespace xymon::xmldiff

@@ -2,7 +2,7 @@
 #define XYMON_XMLDIFF_XID_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "src/xml/dom.h"
 
@@ -28,18 +28,35 @@ class XidAllocator {
 };
 
 /// Index from XID to node for one document version. Built before applying a
-/// delta.
+/// delta. One flat open-addressing table: no allocation per node.
 class XidIndex {
  public:
+  struct Entry {
+    uint64_t xid = 0;  // 0 marks a free slot
+    xml::Node* node = nullptr;
+    /// Index of the node among its parent's children when the index was
+    /// built (0 for the root).
+    size_t position = 0;
+  };
+
   explicit XidIndex(xml::Node* root);
 
   /// Returns nullptr if the XID is unknown.
-  xml::Node* Find(uint64_t xid) const;
+  xml::Node* Find(uint64_t xid) const {
+    const Entry* e = Lookup(xid);
+    return e == nullptr ? nullptr : e->node;
+  }
+  /// Returns nullptr if the XID is unknown.
+  const Entry* Lookup(uint64_t xid) const;
 
-  size_t size() const { return index_.size(); }
+  size_t size() const { return size_; }
 
  private:
-  std::unordered_map<uint64_t, xml::Node*> index_;
+  void Insert(const Entry& entry);
+  size_t SlotOf(uint64_t xid) const;
+
+  std::vector<Entry> table_;
+  size_t size_ = 0;
 };
 
 }  // namespace xymon::xmldiff

@@ -51,6 +51,18 @@ TEST(HostileXmlTest, InputSizeLimit) {
   EXPECT_TRUE(xml::Parse("<a>ok</a>", options).ok());
 }
 
+TEST(HostileXmlTest, NodeCountLimit) {
+  xml::ParseOptions options;
+  options.max_nodes = 4;
+  // <a>, <b>, the text run and <c>: four nodes. Comments are dropped and
+  // do not count; whitespace between markup is not a node either.
+  EXPECT_TRUE(xml::Parse("<a> <b>t<!-- c --></b> <c/></a>", options).ok());
+  auto st = xml::Parse("<a><b>t</b><c/><d/></a>", options).status();
+  EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+  st = xml::Parse("<a><b>t</b><c/>u</a>", options).status();
+  EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+}
+
 TEST(HostileXmlTest, TruncationsAtEveryPrefixNeverCrash) {
   constexpr char kDoc[] =
       "<!DOCTYPE c SYSTEM \"http://e/c.dtd\">"

@@ -219,7 +219,10 @@ TEST(PipelineStatsTest, StageCountersTrackTheFlow) {
 
 TEST(PipelineRecoveryTest, ShardedWarehousePartitionsRecoverAcrossReopen) {
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "xymon_pipeline_recovery";
+  // Relative to the working directory (ctest runs each build tree's suites
+  // in that tree), so concurrent runs from two build trees — an ASan and a
+  // TSan tree at once — do not share, and wipe, one directory.
+  fs::path dir = "pipeline_test_tmp_recovery";
   fs::remove_all(dir);
   fs::create_directories(dir);
   std::string wh_path = (dir / "wh.log").string();

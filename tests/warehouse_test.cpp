@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "src/common/rng.h"
 #include "src/warehouse/warehouse.h"
 #include "src/xml/parser.h"
 
@@ -112,6 +113,50 @@ TEST(WarehouseTest, HtmlPageBecomingXmlIsAllNew) {
   EXPECT_TRUE(r.meta.is_xml);
   EXPECT_EQ(r.meta.status, DocStatus::kUpdated);
   EXPECT_EQ(r.diff.changes.size(), 2u);  // Both elements new.
+}
+
+/// A well-formed catalog of `products` seeded <p> elements: 2 * products + 1
+/// nodes.
+std::string SeededCatalog(Rng* rng, size_t products) {
+  std::string body = "<catalog>";
+  for (size_t i = 0; i < products; ++i) {
+    body += "<p>" + std::to_string(rng->Uniform(1000000)) + "</p>";
+  }
+  return body + "</catalog>";
+}
+
+TEST(WarehouseTest, OversizeBodyIsDegradedAndKeepsLastGoodVersion) {
+  for (uint64_t seed : {1, 2}) {
+    Rng rng(seed);
+    Warehouse wh;
+    const std::string url = "http://big.example.org/c.xml";
+    ASSERT_EQ(wh.Ingest({url, kCatalogV1}, 1).meta.status, DocStatus::kNew);
+
+    // One node over the node cap (the body is about 1.3 MB).
+    auto r = wh.Ingest({url, SeededCatalog(&rng, kMaxDocumentNodes / 2)}, 2);
+    EXPECT_TRUE(r.degraded);
+    EXPECT_EQ(r.meta.status, DocStatus::kUnchanged);
+    EXPECT_TRUE(r.meta.is_xml);
+    ASSERT_NE(r.current, nullptr);
+    EXPECT_EQ(r.current->root->child_count(), 1u);  // still kCatalogV1
+    EXPECT_TRUE(r.diff.changes.empty());
+
+    // Over the byte cap with a handful of nodes.
+    std::string huge = "<catalog><p>" +
+                       std::string(kMaxDocumentBytes, 'a' + seed) +
+                       "</p></catalog>";
+    r = wh.Ingest({url, huge}, 3);
+    EXPECT_TRUE(r.degraded);
+    ASSERT_NE(r.current, nullptr);
+    EXPECT_EQ(r.current->root->child_count(), 1u);
+
+    // Within both caps the page is versioned as usual.
+    r = wh.Ingest({url, SeededCatalog(&rng, kMaxDocumentNodes / 2 - 1)}, 4);
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.meta.status, DocStatus::kUpdated);
+    ASSERT_NE(r.current, nullptr);
+    EXPECT_EQ(r.current->root->child_count(), kMaxDocumentNodes / 2 - 1);
+  }
 }
 
 TEST(WarehouseTest, MarkDeletedRaisesDeletedChanges) {

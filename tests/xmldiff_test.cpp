@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <functional>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/xml/parser.h"
 #include "src/xml/serializer.h"
 #include "src/warehouse/warehouse.h"
 #include "src/xmldiff/diff.h"
+#include "time_scale.h"
 
 namespace xymon::xmldiff {
 namespace {
@@ -197,6 +201,25 @@ TEST(ApplyTest, UnknownXidIsCorruption) {
   EXPECT_TRUE(Apply(*old_root, delta).status().IsCorruption());
 }
 
+TEST(ApplyTest, DetachingOneNodeTwiceIsCorruption) {
+  auto old_root = MustParse("<a><b/><c/></a>");
+  XidAllocator alloc;
+  alloc.AssignAll(old_root.get());
+  const uint64_t b = old_root->child(0)->xid();
+  Delta delta;
+  DeltaOp del;
+  del.type = DeltaOpType::kDelete;
+  del.xid = b;
+  delta.ops.push_back(std::move(del));
+  DeltaOp move;
+  move.type = DeltaOpType::kMove;
+  move.xid = b;
+  move.parent_xid = old_root->xid();
+  move.position = 1;
+  delta.ops.push_back(std::move(move));
+  EXPECT_TRUE(Apply(*old_root, delta).status().IsCorruption());
+}
+
 TEST(DiffTest, SiblingReorderIsAMoveNotInsertDelete) {
   auto v = DiffTexts(
       "<c><p id=\"1\"><t>alpha</t></p><p id=\"2\"><t>beta</t></p>"
@@ -348,6 +371,239 @@ TEST_P(DiffApplyPropertyTest, ApplyDiffReconstructs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffApplyPropertyTest,
                          ::testing::Range<uint64_t>(0, 40));
+
+// --------------------------------------------------------- Hostile shapes --
+//
+// Child lists a hostile (or merely large) page can carry. Each diff must
+// round-trip through Apply and cost near-linear time: Diff and Apply each
+// under 10 ms at 8k siblings (a full-table LCS matcher takes 0.3-1.4 s
+// there), and from 8k to 30k siblings (3.75x the work) each may grow
+// at most twice as fast as a linear yardstick on the same trees: a Clone of
+// the old tree plus an XidIndex over it, the sequential and the hashed
+// access both operations make. Past the cache sizes the yardstick itself
+// grows 5-7x rather than 3.75x; a quadratic matcher grows 14x or more.
+
+constexpr size_t kSmall = 8000;
+constexpr size_t kLarge = 30000;
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// Sanitizer instrumentation slows every memory access several times over;
+// the absolute bound scales with it (the growth bound is a ratio).
+constexpr uint32_t kMsAt8k = 10 * 5;
+#else
+constexpr uint32_t kMsAt8k = 10;
+#endif
+constexpr double kGrowthOverLinear = 2.0;
+constexpr uint32_t kSlackMs = 1;
+
+struct HostilePair {
+  std::unique_ptr<Node> old_root;
+  std::unique_ptr<Node> new_root;
+};
+
+std::unique_ptr<Node> Leaf(std::string tag, std::string text) {
+  auto el = Node::Element(std::move(tag));
+  el->AddChild(Node::Text(std::move(text)));
+  return el;
+}
+
+/// Flat list, one tag, every text changed: all updates, no insert/delete.
+HostilePair FlatTextChanged(size_t n, Rng* rng) {
+  HostilePair p{Node::Element("r"), Node::Element("r")};
+  for (size_t k = 0; k < n; ++k) {
+    uint64_t v = rng->Uniform(1000000);
+    p.old_root->AddChild(Leaf("i", "v" + std::to_string(v)));
+    p.new_root->AddChild(Leaf("i", "w" + std::to_string(v)));
+  }
+  return p;
+}
+
+/// Every child's tag changed: all deletes and inserts.
+HostilePair EveryTagChanged(size_t n, Rng* rng) {
+  HostilePair p{Node::Element("r"), Node::Element("r")};
+  for (size_t k = 0; k < n; ++k) {
+    std::string text = std::to_string(rng->Uniform(1000000));
+    p.old_root->AddChild(Leaf("a" + std::to_string(k % 7), text));
+    p.new_root->AddChild(Leaf("b" + std::to_string(k % 7), text));
+  }
+  return p;
+}
+
+/// Distinct children in reverse order: all but one become moves.
+HostilePair Reversed(size_t n, Rng* rng) {
+  HostilePair p{Node::Element("r"), Node::Element("r")};
+  uint64_t salt = rng->Uniform(1000);
+  for (size_t k = 0; k < n; ++k) {
+    p.old_root->AddChild(
+        Leaf("t" + std::to_string(k), std::to_string(salt + k)));
+  }
+  for (size_t k = n; k-- > 0;) {
+    p.new_root->AddChild(
+        Leaf("t" + std::to_string(k), std::to_string(salt + k)));
+  }
+  return p;
+}
+
+/// Wide list drawn from 64 subtrees (every child has duplicates), shuffled,
+/// with a few names edited, children dropped and children added.
+HostilePair WideReorderedDuplicates(size_t n, Rng* rng) {
+  auto item = [](uint64_t t, uint64_t name) {
+    auto el = Node::Element("item");
+    el->SetAttribute("kind", std::to_string(t % 5));
+    el->AddChild(Leaf("name", "n" + std::to_string(name)));
+    return el;
+  };
+  std::vector<uint64_t> kinds(n);
+  for (uint64_t& t : kinds) t = rng->Uniform(64);
+  HostilePair p{Node::Element("r"), Node::Element("r")};
+  for (uint64_t t : kinds) p.old_root->AddChild(item(t, t * 3));
+  for (size_t k = n; k-- > 1;) {
+    std::swap(kinds[k], kinds[rng->Uniform(k + 1)]);
+  }
+  for (uint64_t t : kinds) {
+    if (rng->Bernoulli(0.02)) continue;
+    p.new_root->AddChild(item(t, rng->Bernoulli(0.05) ? t * 3 + 1 : t * 3));
+    if (rng->Bernoulli(0.02)) p.new_root->AddChild(item(64 + t, 1));
+  }
+  return p;
+}
+
+/// A 256-deep chain whose bottom element holds the wide list: every text
+/// of the list changed, a few children dropped and added.
+HostilePair Deep(size_t n, Rng* rng) {
+  HostilePair p{Node::Element("r"), Node::Element("r")};
+  Node* o = p.old_root.get();
+  Node* m = p.new_root.get();
+  for (int depth = 0; depth < 256; ++depth) {
+    o = o->AddChild(Node::Element("d"));
+    m = m->AddChild(Node::Element("d"));
+  }
+  for (size_t k = 0; k < n; ++k) {
+    std::string v = std::to_string(rng->Uniform(1000000));
+    o->AddChild(Leaf("i", "v" + v));
+    if (rng->Bernoulli(0.01)) continue;
+    m->AddChild(Leaf("i", "w" + v));
+    if (rng->Bernoulli(0.01)) m->AddChild(Leaf("j", v));
+  }
+  return p;
+}
+
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+struct HostileRun {
+  double diff_ms = 1e9;   // best of kReps
+  double apply_ms = 1e9;  // best of kReps
+  double linear_ms = 1e9;  // best of kReps: the yardstick
+};
+
+/// Diffs and applies one seeded shape of n siblings; checks the round trip
+/// Apply(old, Diff(old, new)) == new and returns the best-of-5 timings.
+HostileRun RunHostile(HostilePair (*make)(size_t, Rng*), size_t n,
+                      uint64_t seed) {
+  constexpr int kReps = 5;
+  Rng rng(seed);
+  HostilePair pair = make(n, &rng);
+  XidAllocator alloc;
+  alloc.AssignAll(pair.old_root.get());
+  HostileRun run;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    {
+      auto copy = pair.old_root->Clone();
+      XidIndex index(copy.get());
+      EXPECT_GT(index.size(), n);
+    }
+    run.linear_ms = std::min(run.linear_ms, MillisSince(start));
+
+    auto new_root = pair.new_root->Clone();
+    start = std::chrono::steady_clock::now();
+    DiffResult result = Diff(*pair.old_root, new_root.get(), &alloc);
+    run.diff_ms = std::min(run.diff_ms, MillisSince(start));
+
+    start = std::chrono::steady_clock::now();
+    auto applied = Apply(*pair.old_root, result.delta);
+    run.apply_ms = std::min(run.apply_ms, MillisSince(start));
+    EXPECT_TRUE(applied.ok()) << applied.status().ToString();
+    if (!applied.ok()) return run;
+    EXPECT_TRUE((*applied)->EqualsIgnoringXids(*pair.new_root))
+        << "round trip failed at " << n << " siblings";
+  }
+  return run;
+}
+
+struct HostileShape {
+  const char* name;
+  HostilePair (*make)(size_t, Rng*);
+};
+
+void PrintTo(const HostileShape& shape, std::ostream* os) { *os << shape.name; }
+
+class HostileShapeTest : public ::testing::TestWithParam<HostileShape> {};
+
+TEST_P(HostileShapeTest, DiffIsNearLinearAndRoundTrips) {
+  const char* name = GetParam().name;
+  HostileRun small = RunHostile(GetParam().make, kSmall, 17);
+  ASSERT_LT(small.diff_ms, ScaledMs(kMsAt8k))
+      << name << ": diff of " << kSmall << " siblings";
+  ASSERT_LT(small.apply_ms, ScaledMs(kMsAt8k))
+      << name << ": apply of " << kSmall << " siblings";
+  HostileRun large = RunHostile(GetParam().make, kLarge, 17);
+  const double linear_growth = large.linear_ms / small.linear_ms;
+  const double bound = kGrowthOverLinear * linear_growth;
+  EXPECT_LE(large.diff_ms, bound * small.diff_ms + ScaledMs(kSlackMs))
+      << name << ": diff " << small.diff_ms << " ms at " << kSmall << ", "
+      << large.diff_ms << " ms at " << kLarge << "; the yardstick grew "
+      << linear_growth << "x";
+  EXPECT_LE(large.apply_ms, bound * small.apply_ms + ScaledMs(kSlackMs))
+      << name << ": apply " << small.apply_ms << " ms at " << kSmall << ", "
+      << large.apply_ms << " ms at " << kLarge << "; the yardstick grew "
+      << linear_growth << "x";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, HostileShapeTest,
+    ::testing::Values(HostileShape{"FlatTextChanged", FlatTextChanged},
+                      HostileShape{"EveryTagChanged", EveryTagChanged},
+                      HostileShape{"Reversed", Reversed},
+                      HostileShape{"WideReorderedDuplicates",
+                                   WideReorderedDuplicates},
+                      HostileShape{"Deep", Deep}),
+    [](const ::testing::TestParamInfo<HostileShape>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(HostileShapeTest, SameTagTextChangeStaysAnUpdateAtAnySize) {
+  Rng rng(3);
+  HostilePair pair = FlatTextChanged(kLarge, &rng);
+  XidAllocator alloc;
+  alloc.AssignAll(pair.old_root.get());
+  DiffResult result = Diff(*pair.old_root, pair.new_root.get(), &alloc);
+  EXPECT_EQ(result.delta.ops.size(), kLarge);
+  for (const DeltaOp& op : result.delta.ops) {
+    ASSERT_EQ(op.type, DeltaOpType::kUpdateText);
+  }
+  EXPECT_EQ(CountChanges(result, ChangeOp::kUpdated, "i"), kLarge);
+  EXPECT_EQ(CountChanges(result, ChangeOp::kNew, "i"), 0u);
+}
+
+TEST(HostileShapeTest, ReversedListIsMovesNotInsertDelete) {
+  Rng rng(5);
+  HostilePair pair = Reversed(kSmall, &rng);
+  XidAllocator alloc;
+  alloc.AssignAll(pair.old_root.get());
+  DiffResult result = Diff(*pair.old_root, pair.new_root.get(), &alloc);
+  size_t moves = 0;
+  for (const DeltaOp& op : result.delta.ops) {
+    EXPECT_EQ(op.type, DeltaOpType::kMove);
+    if (op.type == DeltaOpType::kMove) ++moves;
+  }
+  EXPECT_EQ(moves, kSmall - 1);
+  EXPECT_EQ(pair.new_root->child(0)->xid(),
+            pair.old_root->child(kSmall - 1)->xid());
+}
 
 }  // namespace
 }  // namespace xymon::xmldiff
