@@ -445,17 +445,22 @@ class Differ {
   /// ones. O(n log n), and a same-tag edit stays an update at any size.
   void PairByTag(const Node& o, const Node& n, size_t ob, size_t nb,
                  size_t i0, size_t i1, size_t j0, size_t j1) {
+    // The index is sized by the gap, not the list, and numbers the gap's old
+    // children from 0: a list cut into many over-budget gaps stays linear.
     OldChildIndex& index = s_.index;
-    index.Reset(i1);
+    index.Reset(i1 - i0);
     for (size_t i = i0; i < i1; ++i) {
       index.Add(TagKey(*o.child(i), s_.olds[ob + i].hash),
-                static_cast<uint32_t>(i));
+                static_cast<uint32_t>(i - i0));
     }
     s_.cand.clear();
     for (size_t j = j0; j < j1; ++j) {
       auto* slot = index.Find(TagKey(*n.child(j), s_.news[nb + j].hash));
-      const uint32_t i = slot == nullptr ? kNoIndex : index.PopFront(slot);
-      if (i != kNoIndex) s_.cand.emplace_back(i, static_cast<uint32_t>(j));
+      const uint32_t a = slot == nullptr ? kNoIndex : index.PopFront(slot);
+      if (a != kNoIndex) {
+        s_.cand.emplace_back(static_cast<uint32_t>(i0 + a),
+                             static_cast<uint32_t>(j));
+      }
     }
     KeepLongestIncreasing();
     for (const auto& [i, j] : s_.cand) {

@@ -39,7 +39,8 @@ struct DiffResult {
 /// paired by tag in O(n log n), so a same-tag edit stays an update at any
 /// size. Identical children left over on both sides become moves through a
 /// hash index, and the rest inserts and deletes. Time is O(n log n) in the
-/// document size plus at most 65,536 cells per child list, memory O(n).
+/// document size: an LCS table never exceeds 65,536 cells and fills at most
+/// about 130 cells per child of its gap. Memory is O(n).
 DiffResult Diff(const xml::Node& old_root, xml::Node* new_root,
                 XidAllocator* alloc);
 
